@@ -17,6 +17,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from reference import REFERENCE_MS
+
 #: The workloads ``workloads.py`` defines, by name.
 WORKLOADS = (
     "prg_attack_vectorized",
@@ -26,12 +28,22 @@ WORKLOADS = (
 )
 
 #: End-to-end metrics a run reports with ``--trace 0``: name -> unit.
+#: Op times are in reference units (see ``reference.py``); set-up time
+#: and memory are as measured.
 END_TO_END = {
+    "trials_per_ref_s": "1/ref_s",
+    "op_p50_ref_ms": "ref_ms",
+    "op_tail_ref_ms": "ref_ms",
+    "setup_s": "s",
+    "peak_rss_mb": "MB",
+}
+
+#: The same op times in wall-clock units: printed and in the report, but
+#: not gated, because the host's speed swings spread them too widely.
+WALL_CLOCK = {
     "trials_per_s": "1/s",
     "op_p50_ms": "ms",
     "op_tail_ms": "ms",
-    "setup_s": "s",
-    "peak_rss_mb": "MB",
 }
 
 #: Per-layer metrics a run reports with ``--trace 1``: name -> unit.  All
@@ -124,6 +136,18 @@ def latency_summary(samples_s: list[float]) -> dict:
         "tail_beyond": tail_stats["beyond"],
         "samples": len(ms),
     }
+
+
+def reference_s(latencies_s: list[float], kernels_s: list[float]) -> list[float]:
+    """Per-op latencies in reference seconds: each op's wall time scaled
+    by ``REFERENCE_MS`` over the reference kernel's time around that op
+    (both in seconds)."""
+    if len(latencies_s) != len(kernels_s):
+        raise ValueError("one kernel time per op is needed")
+    return [
+        latency * (REFERENCE_MS / 1000.0) / kernel
+        for latency, kernel in zip(latencies_s, kernels_s)
+    ]
 
 
 def layer_of(name: str) -> "str | None":

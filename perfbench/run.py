@@ -5,8 +5,10 @@
 Run from the repository root.  The program is used from ``src`` as it is
 (nothing to build).  Set-up is timed in ``SETUP_SAMPLES`` fresh
 processes, the last of which then runs the timed window; ``setup_s`` is
-their median.  Prints a table with every metric's unit and sample count,
-then one ``REPORT`` line of JSON with provenance (also written to
+their median.  Op times are reported in reference units (see
+``reference.py``), and also in wall-clock units, which are not gated.
+Prints a table with every metric's unit and sample count, then one
+``REPORT`` line of JSON with provenance (also written to
 ``perfbench/out/``), then, as the last line, the result object:
 end-to-end metrics with ``--trace 0``, per-layer metrics with
 ``--trace 1``.  Exits non-zero without a result if anything other than
@@ -32,9 +34,11 @@ sys.path.insert(0, str(HERE))
 from harness import (  # noqa: E402
     END_TO_END,
     PER_LAYER,
+    WALL_CLOCK,
     WORKLOADS,
     latency_summary,
     provenance,
+    reference_s,
 )
 
 #: Fresh processes timed through set-up; the last one also measures.
@@ -130,29 +134,40 @@ def main(argv: "list[str] | None" = None) -> int:
         return 1
 
     latency = latency_summary(result["latencies_s"])
+    scaled_s = reference_s(result["latencies_s"], result["kernels_s"])
+    scaled = latency_summary(scaled_s)
     values = {
+        "trials_per_ref_s": result["trials"] / sum(scaled_s),
+        "op_p50_ref_ms": scaled["op_p50_ms"],
+        "op_tail_ref_ms": scaled["op_tail_ms"],
+        "setup_s": statistics.median(setups),
+        "peak_rss_mb": result["peak_rss_mb"],
         "trials_per_s": result["trials"] / result["busy_s"],
         "op_p50_ms": latency["op_p50_ms"],
         "op_tail_ms": latency["op_tail_ms"],
-        "setup_s": statistics.median(setups),
-        "peak_rss_mb": result["peak_rss_mb"],
     }
     error_rate = failed / attempted
     correct = failed == 0
     ops = latency["samples"]
+    tail_note = (f"p{latency['tail_percentile']:.1f} of {ops} ops, "
+                 f"{latency['tail_beyond']} beyond")
     notes = {
-        "trials_per_s": f"{result['trials']} trials in {ops} ops",
-        "op_p50_ms": f"median of {ops} ops",
-        "op_tail_ms": f"p{latency['tail_percentile']:.1f} of {ops} ops, "
-        f"{latency['tail_beyond']} beyond",
+        "trials_per_ref_s": f"{result['trials']} trials in {ops} ops",
+        "op_p50_ref_ms": f"median of {ops} ops",
+        "op_tail_ref_ms": tail_note,
         "setup_s": f"median of {SETUP_SAMPLES} set-ups",
         "peak_rss_mb": "caller process",
+        "trials_per_s": "wall clock, not gated",
+        "op_p50_ms": "wall clock, not gated",
+        "op_tail_ms": f"wall clock, not gated; {tail_note}",
     }
     print(f"{args.workload} seed={args.seed} trace={args.trace}: "
-          f"{attempted} ops attempted, {failed} failed")
-    for name, unit in END_TO_END.items():
-        print(f"  {name:<14} {values[name]:>12.4f} {unit:<3} ({notes[name]})")
-    print(f"  {'error_rate':<14} {error_rate:>12.4f}     ({failed} of {attempted} ops)")
+          f"{attempted} ops attempted, {failed} failed; reference kernel "
+          f"median {1000.0 * statistics.median(result['kernels_s']):.3f} ms")
+    for name, unit in {**END_TO_END, **WALL_CLOCK}.items():
+        print(f"  {name:<16} {values[name]:>12.4f} {unit:<7} ({notes[name]})")
+    print(f"  {'error_rate':<16} {error_rate:>12.4f}{'':9}"
+          f"({failed} of {attempted} ops)")
     for reason in reasons:
         print(f"  failed: {reason}")
 
@@ -170,6 +185,7 @@ def main(argv: "list[str] | None" = None) -> int:
         "tail_beyond": latency["tail_beyond"],
         "setup_samples_s": setups,
         "latencies_ms": [1000.0 * v for v in result["latencies_s"]],
+        "kernels_ms": [1000.0 * v for v in result["kernels_s"]],
     }
     if args.trace:
         metrics = {name: result["per_layer"][name] for name in PER_LAYER}

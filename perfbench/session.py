@@ -6,15 +6,18 @@ moment set-up (imports, executor and workers, first op) is done — the
 parent times set-up up to that line — then one ``{"event": "result"}``.
 
 ``--role setup`` stops after set-up and teardown; ``--role measure``
-then runs the timed window.  With ``--trace 1`` the window alternates
-untraced and traced ops: the untraced ones give the tracing overhead,
-the traced ones the per-layer attribution.
+then runs the timed window, sampling the reference kernel
+(``reference.py``) before the first op and after every op.  With
+``--trace 1`` the window alternates untraced and traced ops: the
+untraced ones give the tracing overhead, the traced ones the per-layer
+attribution.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import resource
 import statistics
 import sys
@@ -114,7 +117,17 @@ TRACE_FILE_OPS = 3
 
 
 def measure(workload, ledger, args) -> dict:
+    from reference import kernel_s, sample
+
+    # An op that fans out keeps the caller and its workers busy, so the
+    # kernel runs on as many CPUs as they can occupy.
+    cpus = None
+    if workload.workers:
+        cpus = sorted(os.sched_getaffinity(0))[: workload.workers + 1]
     latencies: list[float] = []
+    #: The reference kernel's time around each op (see reference.py).
+    kernels: list[float] = []
+    previous = sample(cpus)
     traced_latencies: list[float] = []
     untraced_latencies: list[float] = []
     trials = 0
@@ -141,6 +154,9 @@ def measure(workload, ledger, args) -> dict:
             probe.tracer = Tracer()
             before = workload.counters()
         latency, result = run_op(workload, ledger, index, probe if traced else None)
+        current = sample(cpus)
+        kernels.append(kernel_s(previous, current))
+        previous = current
         if result is not None:
             trials += workload.trials_per_op
         latencies.append(latency)
@@ -168,6 +184,7 @@ def measure(workload, ledger, args) -> dict:
     report = {
         "window_s": time.perf_counter() - start,
         "latencies_s": latencies,
+        "kernels_s": kernels,
         "trials": trials,
         "busy_s": sum(latencies),
     }

@@ -40,6 +40,62 @@ def test_latency_summary_in_milliseconds():
     assert summary["tail_beyond"] == 10 and summary["samples"] == 21
 
 
+# -- reference units ------------------------------------------------------
+def test_reference_units_cancel_a_host_slowdown():
+    fast = harness.reference_s([0.2, 0.3], [0.002, 0.002])
+    slow = harness.reference_s([0.3, 0.45], [0.003, 0.003])
+    assert fast == pytest.approx(slow)
+    assert fast[0] == pytest.approx(0.2 * harness.REFERENCE_MS / 2.0)
+
+
+def test_a_slower_program_shows_in_reference_units():
+    base = harness.reference_s([0.2], [0.002])
+    slower = harness.reference_s([0.3], [0.002])
+    assert slower[0] == pytest.approx(1.5 * base[0])
+
+
+def test_reference_units_need_one_kernel_time_per_op():
+    with pytest.raises(ValueError):
+        harness.reference_s([0.1, 0.2], [0.002])
+
+
+def test_reference_kernel_leaves_the_collector_as_it_found_it():
+    import gc
+
+    import reference
+
+    assert gc.isenabled()
+    (times,) = reference.sample()
+    assert len(times) == reference.KERNEL_REPEATS and min(times) > 0
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        reference.sample()
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_kernel_pinned_to_each_cpu_restores_the_affinity():
+    import os
+
+    import reference
+
+    before = os.sched_getaffinity(0)
+    samples = reference.sample(sorted(before))
+    assert len(samples) == len(before)
+    assert os.sched_getaffinity(0) == before
+
+
+def test_kernel_time_is_the_median_around_the_op_per_cpu():
+    import reference
+
+    # One CPU: the median of the repeats on both sides of the op.
+    assert reference.kernel_s([[1.0, 9.0]], [[2.0, 3.0]]) == 2.5
+    # Two CPUs: their harmonic mean, the time per kernel of both together.
+    assert reference.kernel_s([[1.0], [3.0]], [[1.0], [3.0]]) == pytest.approx(1.5)
+
+
 # -- self-time subtraction ------------------------------------------------
 def span(name, sid, parent, start, end, op=0):
     return {

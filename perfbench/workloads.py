@@ -54,7 +54,7 @@ class Workload:
     """One op at a time, plus what the traced run needs to attribute it."""
 
     name = ""
-    #: Trials completed by one op (the unit of ``trials_per_s``).
+    #: Trials completed by one op (what ``trials_per_ref_s`` counts).
     trials_per_op = 0
     #: Worker processes an op fans out to (0: runs in the caller).
     workers = 0
