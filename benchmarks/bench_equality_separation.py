@@ -18,7 +18,8 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).parent))
 from _util import print_table
 
-from repro.core import Engine, ParallelExecutor, PublicCoins, RunSpec, run_protocol
+from repro.core import Engine, PublicCoins, RunSpec, run_protocol
+from repro.exec import WorkerPool
 from repro.protocols import (
     DeterministicEqualityProtocol,
     FingerprintEqualityProtocol,
@@ -28,7 +29,7 @@ from repro.protocols import (
 # The per-t error estimation is a 200-trial engine batch (each trial gets
 # a fresh protocol copy and fresh public coins from its spawned seed),
 # pooled across cores where available.
-EXECUTOR = ParallelExecutor()
+EXECUTOR = WorkerPool(idle_timeout=0)
 
 M = 128
 N = 8

@@ -14,7 +14,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).parent))
 from _util import print_table
 
-from repro.core import FunctionProtocol, ParallelExecutor
+from repro.core import FunctionProtocol
 from repro.distinguish import (
     ProtocolSpec,
     estimate_transcript_distance,
@@ -22,6 +22,7 @@ from repro.distinguish import (
     transcript_distance,
 )
 from repro.distributions import PlantedClique, RandomDigraph
+from repro.exec import WorkerPool
 
 N = 6
 K = 3
@@ -30,7 +31,7 @@ THRESHOLD = (N - 1) / 2 + 0.5
 # Sampling runs through the execution engine on a process pool (a no-op
 # on 1-core hosts, where the pool runs in-process).  The next-message
 # functions live at module level so the protocol pickles into pool workers.
-EXECUTOR = ParallelExecutor()
+EXECUTOR = WorkerPool(idle_timeout=0)
 
 def _vector_fn(i, rows, p):
     return (rows.sum(axis=1) >= THRESHOLD).astype(np.int64)

@@ -1,18 +1,18 @@
 """E-EXEC — warm worker pools vs per-batch pool start-up.
 
-The claim behind ``repro.exec.WorkerPool``: a sweep or estimator that
-issues **many small batches** is dominated by process-pool start-up when
-every ``run_batch`` builds its own ``ProcessPoolExecutor`` (the
-:class:`~repro.core.engine.ParallelExecutor` behaviour, which is the
-right trade-off only for one big batch).  Keeping the workers warm
+The claim behind a warm ``repro.exec.WorkerPool``: a sweep or estimator
+that issues **many small batches** is dominated by process-pool start-up
+when every ``run_batch`` starts its own workers (a cold
+``WorkerPool(idle_timeout=0)``, which is the right trade-off only for one
+big batch).  Keeping the workers warm
 amortizes start-up across the whole batch sequence, so the same workload
 must get faster — and stay *bit-identical*, because per-trial seeding
 never depends on the backend.
 
 Running this file as a script (the CI smoke step) measures a sequence of
 ``BATCHES`` small ``run_batch`` calls on three backends — serial, cold
-``ParallelExecutor`` (fresh pool per batch), warm ``WorkerPool`` (one
-pool for the sequence) — asserts the warm pool beats the cold pool by
+``WorkerPool`` (fresh workers per batch), warm ``WorkerPool`` (one set
+of workers for the sequence) — asserts the warm pool beats the cold pool by
 ``MIN_SPEEDUP``×, and writes the medians to ``BENCH_exec.json`` in the
 repo root (uploaded as a CI artifact).  Both pool backends are pinned to
 ``WORKERS`` processes so the comparison isolates start-up amortization
@@ -26,7 +26,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 from _util import print_table, write_bench_json
 
-from repro.core import Engine, ParallelExecutor, RunSpec, SerialExecutor
+from repro.core import Engine, RunSpec, SerialExecutor
 from repro.distributions import UniformRows
 from repro.exec import WorkerPool
 from repro.lowerbounds import TopSubmatrixRankProtocol
@@ -73,11 +73,13 @@ def best_of(make_engine) -> tuple[list, float]:
 
 def measure() -> tuple[list[list], list[dict], float, bool]:
     serial_out, serial_s = best_of(lambda: (Engine(SerialExecutor()), None))
-    # Cold: ParallelExecutor builds (and tears down) a fresh process pool
-    # inside every run_batch call.
-    cold_out, cold_s = best_of(
-        lambda: (Engine(ParallelExecutor(max_workers=WORKERS)), None)
-    )
+    # Cold: the pool starts (and reaps) its workers inside every
+    # run_batch call.
+    def make_cold():
+        pool = WorkerPool(max_workers=WORKERS, idle_timeout=0)
+        return Engine(pool), pool.close
+
+    cold_out, cold_s = best_of(make_cold)
 
     # Warm: one WorkerPool for the whole sequence; start-up paid once.
     def make_warm():
@@ -90,7 +92,7 @@ def measure() -> tuple[list[list], list[dict], float, bool]:
     speedup_vs_cold = cold_s / warm_s if warm_s else float("inf")
     rows = [
         ["serial", serial_s, serial_s / warm_s if warm_s else float("inf")],
-        [f"cold ParallelExecutor ({WORKERS} workers/batch)", cold_s, speedup_vs_cold],
+        [f"cold WorkerPool ({WORKERS} workers/batch)", cold_s, speedup_vs_cold],
         [f"warm WorkerPool ({WORKERS} workers)", warm_s, 1.0],
     ]
     records = [

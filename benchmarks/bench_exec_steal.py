@@ -12,8 +12,10 @@ runs out instead.
 Running this file as a script (the CI smoke step) builds exactly that
 fleet — four in-process :class:`~repro.exec.LoopbackWorker` serve loops,
 one with injected per-chunk latency making it ~5× slower — and measures
-the same engine batch under ``scheduling="static"`` and
-``scheduling="steal"``.  It asserts stealing beats the static plan by
+the same engine batch twice: once pinned (one chunk per worker,
+``chunksize = ceil(TRIALS / WORKERS)``, so no queued chunk is ever left
+to steal — the static round-robin plan) and once with the stealing
+grain ``CHUNKSIZE``.  It asserts stealing beats the pinned plan by
 ``MIN_SPEEDUP``×, that both are **bit-identical** to
 :class:`~repro.core.engine.SerialExecutor` (per-spec ``SeedSequence``
 seeding: placement never touches randomness), and writes the medians to
@@ -27,6 +29,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 from _util import print_table, write_bench_json
 
+import math
+
 from repro.core import Engine, RunSpec, SerialExecutor
 from repro.distributions import UniformRows
 from repro.exec import DistributedExecutor, LoopbackWorker
@@ -35,6 +39,7 @@ from repro.protocols import GlobalParityProtocol
 TRIALS = 64          # one engine batch, fanned out over the fleet
 CHUNKSIZE = 2        # the stealing grain: 32 chunks over 4 workers
 WORKERS = 4          # fleet size (one of them slow)
+PINNED = math.ceil(TRIALS / WORKERS)  # static plan: one chunk per worker
 TRIAL_SLEEP = 0.003  # per-broadcast pause: makes chunk cost predictable
 SLOW_FACTOR = 5      # the straggler runs chunks ~5x slower
 MIN_SPEEDUP = 1.3    # stealing must beat static round-robin by 30%
@@ -68,23 +73,28 @@ def bench_spec() -> RunSpec:
     )
 
 
-#: Injected pre-chunk latency for the straggler: a chunk costs
-#: CHUNKSIZE trials x 2 processors x TRIAL_SLEEP of real work, so
-#: (SLOW_FACTOR - 1) of that on top makes it SLOW_FACTOR x slower.
-SLOW_DELAY = (SLOW_FACTOR - 1) * CHUNKSIZE * 2 * TRIAL_SLEEP
+def slow_delay(chunksize: int) -> float:
+    """Injected pre-chunk latency for the straggler.
+
+    A chunk costs ``chunksize`` trials x 2 processors x TRIAL_SLEEP of
+    real work, so (SLOW_FACTOR - 1) of that on top makes the host
+    SLOW_FACTOR x slower at either chunk size.
+    """
+    return (SLOW_FACTOR - 1) * chunksize * 2 * TRIAL_SLEEP
 
 
-def measure_fleet(scheduling: str) -> tuple[list, float, int]:
-    """Best-of-REPEATS wall clock for one batch under ``scheduling``."""
+def measure_fleet(chunksize: int) -> tuple[list, float, int]:
+    """Best-of-REPEATS wall clock for one batch in chunks of ``chunksize``."""
     outputs, best, steals = None, float("inf"), 0
     for _ in range(REPEATS):
-        workers = [LoopbackWorker() for _ in range(WORKERS - 1)]
-        workers.append(LoopbackWorker(request_delay=SLOW_DELAY))
+        # The straggler is lane 0: it claims its first chunk before any
+        # fast lane could run out of work, so the pinned plan never steals.
+        workers = [LoopbackWorker(request_delay=slow_delay(chunksize))]
+        workers.extend(LoopbackWorker() for _ in range(WORKERS - 1))
         try:
             with DistributedExecutor(
                 [worker.endpoint for worker in workers],
-                chunksize=CHUNKSIZE,
-                scheduling=scheduling,
+                chunksize=chunksize,
             ) as executor:
                 engine = Engine(executor)
                 start = time.perf_counter()
@@ -101,12 +111,12 @@ def measure_fleet(scheduling: str) -> tuple[list, float, int]:
 
 def measure() -> tuple[list[list], list[dict], float, bool]:
     golden = Engine(SerialExecutor()).run_batch(bench_spec(), TRIALS).outputs
-    static_out, static_s, _ = measure_fleet("static")
-    steal_out, steal_s, steals = measure_fleet("steal")
-    identical = golden == static_out == steal_out
+    static_out, static_s, static_steals = measure_fleet(PINNED)
+    steal_out, steal_s, steals = measure_fleet(CHUNKSIZE)
+    identical = golden == static_out == steal_out and static_steals == 0
     speedup = static_s / steal_s if steal_s else float("inf")
     rows = [
-        [f"static round-robin ({WORKERS} workers, 1 slow)", static_s, 1.0],
+        [f"pinned, {PINNED}/chunk ({WORKERS} workers, 1 slow)", static_s, 1.0],
         [
             f"work-stealing ({WORKERS} workers, 1 slow, {steals} steals)",
             steal_s,
@@ -118,12 +128,15 @@ def measure() -> tuple[list[list], list[dict], float, bool]:
             "bench": "exec_steal",
             "scheduling": name,
             "trials": TRIALS,
-            "chunksize": CHUNKSIZE,
+            "chunksize": chunksize,
             "workers": WORKERS,
             "slow_factor": SLOW_FACTOR,
             "wall_s": wall,
         }
-        for name, wall in [("static", static_s), ("steal", steal_s)]
+        for name, chunksize, wall in [
+            ("static", PINNED, static_s),
+            ("steal", CHUNKSIZE, steal_s),
+        ]
     ]
     records.append(
         {
@@ -148,13 +161,15 @@ def main() -> None:
     write_bench_json(BENCH_JSON, records)
     print(f"wrote {BENCH_JSON.name}")
     # Determinism first: placement must never leak into results.
-    assert identical, "fleet outputs disagree with SerialExecutor"
+    assert identical, (
+        "fleet outputs disagree with SerialExecutor, or the pinned plan stole"
+    )
     assert speedup >= MIN_SPEEDUP, (
-        f"work-stealing speedup {speedup:.2f}x vs static round-robin is "
+        f"work-stealing speedup {speedup:.2f}x vs the pinned plan is "
         f"below the {MIN_SPEEDUP}x bar"
     )
     print(
-        f"work-stealing beats static round-robin: {speedup:.2f}x "
+        f"work-stealing beats the pinned plan: {speedup:.2f}x "
         f"(bar {MIN_SPEEDUP}x), outputs bit-identical to serial"
     )
 

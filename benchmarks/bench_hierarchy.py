@@ -14,7 +14,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).parent))
 from _util import print_table
 
-from repro.core import ParallelExecutor
+from repro.exec import WorkerPool
 from repro.lowerbounds import (
     TopSubmatrixRankProtocol,
     accuracy_on_uniform,
@@ -26,7 +26,7 @@ K = 10
 
 # The accuracy sweep runs its 600 trials per budget through the engine
 # on a process pool (in-process on 1-core hosts).
-EXECUTOR = ParallelExecutor()
+EXECUTOR = WorkerPool(idle_timeout=0)
 
 def compute_table():
     rng = np.random.default_rng(15)

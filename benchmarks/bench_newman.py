@@ -17,12 +17,13 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).parent))
 from _util import print_table
 
-from repro.core import ParallelExecutor, Protocol
+from repro.core import Protocol
+from repro.exec import WorkerPool
 from repro.prg import NewmanCompiled, newman_public_bits, simulation_error
 
 # Both the fresh-randomness and compiled sample sets run through the
 # execution engine on a process pool (in-process on 1-core hosts).
-EXECUTOR = ParallelExecutor()
+EXECUTOR = WorkerPool(idle_timeout=0)
 
 class ParityNoisePayload(Protocol):
     """Two rounds of input-parity-plus-coin broadcasts."""

@@ -12,10 +12,10 @@ Two claims behind the v2 wire protocol, measured end to end:
    codec-level gf2pack/raw ratio must be exactly 8×.  Both assertions
    are deterministic — compression is arithmetic, not luck.
 
-2. **Steal-aware chunk sizing.**  With ``scheduling="steal"`` the
-   executor now auto-sizes chunks with an 8×lanes divisor (finer grain)
-   instead of the fixed 4×lanes it uses for static placement, so a
-   straggler's in-flight chunk strands fewer items.  On a skewed
+2. **Steal-aware chunk sizing.**  The fleet executor auto-sizes chunks
+   with an 8×lanes divisor (finer grain) instead of the 4×lanes the
+   process pool uses, so a straggler's in-flight chunk strands fewer
+   items.  On a skewed
    two-worker fleet this bench measures ``executor.map`` throughput
    under the steal-aware automatic size vs the old fixed size.  Wall
    clocks are recorded to ``BENCH_wire.json``; the assertion is a
@@ -124,7 +124,6 @@ def measure_map(chunksize: "int | None") -> tuple[list, float]:
             with DistributedExecutor(
                 [fast.endpoint, slow.endpoint],
                 chunksize=chunksize,
-                scheduling="steal",
             ) as executor:
                 start = time.perf_counter()
                 result = executor.map(_busy_item, list(range(ITEMS)))

@@ -106,11 +106,10 @@ def run_sweep(
     ``measure`` returns a mapping of measured values; parameters and
     values are kept side by side in the result.  ``executor`` selects the
     engine backend grid points run on: the default runs them serially in
-    order, ``"parallel"`` / a
-    :class:`~repro.core.engine.ParallelExecutor` spreads independent
-    points over a process pool, and a warm
-    :class:`~repro.exec.pool.WorkerPool` amortizes process start-up
-    across repeated sweeps (``measure`` must be picklable for either —
+    order, ``"parallel"`` (a cold
+    :class:`~repro.exec.pool.WorkerPool`) spreads independent points
+    over a process pool, and a warm ``WorkerPool`` amortizes process
+    start-up across repeated sweeps (``measure`` must be picklable for either —
     module-level functions and :func:`functools.partial` are, closures
     are not and fall back to serial with a warning).
 

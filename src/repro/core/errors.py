@@ -44,6 +44,7 @@ class BatchFallbackWarning(RuntimeWarning):
     bit-identical to the scalar path; only the speedup is lost.  The
     message names the reason.  Note that Python's default warning filters
     *display* repeated warnings from the same call site only once;
-    ``Engine.batch_fallbacks`` counts every fallback exactly, so monitors
-    should read the counter, not count printed warnings.
+    ``Engine.batch_fallbacks`` (a ``{reason: count}`` dict) counts every
+    fallback exactly, so monitors should read it, not count printed
+    warnings.
     """

@@ -25,8 +25,8 @@ the connected workers through the shared work-stealing
 :class:`~repro.exec.stealing.ChunkScheduler` — one feeder thread per
 connection, each keeping one chunk in flight and stealing queued chunks
 from slower hosts once its own share is done, so a heterogeneous fleet
-finishes when the work runs out rather than when the slowest host does
-(``scheduling="static"`` restores the pure round-robin plan).  A worker
+finishes when the work runs out rather than when the slowest host does.
+A worker
 that disconnects mid-batch has its unfinished chunks redistributed to
 the surviving workers, and when every worker is gone the remainder runs
 locally (with a loud :class:`~repro.exec.health.FleetDegradedWarning`) —
@@ -341,11 +341,8 @@ class DistributedExecutor(Executor):
         need them).
     chunksize:
         Items per task frame; defaults to
-        ``ceil(len(items) / (8 * n_workers))`` under the stealing
-        scheduler — small enough that a straggler's queue is worth
-        stealing from — and ``ceil(len(items) / (4 * n_workers))`` under
-        static scheduling, where chunks never migrate and per-frame
-        overhead dominates.
+        ``ceil(len(items) / (8 * n_workers))`` — small enough that a
+        straggler's queue is worth stealing from.
     connect_timeout:
         Seconds to wait when (re)establishing a worker connection.
     task_timeout:
@@ -391,15 +388,6 @@ class DistributedExecutor(Executor):
         disconnected / unreachable).  ``False`` raises instead — for
         deployments where silent local execution would hide a fleet
         outage.
-    scheduling:
-        ``"steal"`` (the default) lets a worker that finished its dealt
-        share steal queued chunks from slower hosts — wall-clock is then
-        bounded by the total work, not by the slowest host's share.
-        ``"static"`` pins every chunk to the worker it was dealt to
-        (pure round-robin; the baseline ``bench_exec_steal.py`` measures
-        against).  Either way results are written back by chunk offset
-        and trials are seeded per-spec, so outputs are bit-identical to
-        :class:`~repro.core.engine.SerialExecutor`.
     share_inputs_min_bytes:
         Fixed input matrices at least this large are published to each
         worker once (content-digest keyed ``publish_inputs`` frame,
@@ -445,7 +433,6 @@ class DistributedExecutor(Executor):
         connect_timeout: float = 5.0,
         task_timeout: float | None = DEFAULT_TASK_TIMEOUT,
         local_fallback: bool = True,
-        scheduling: str = "steal",
         share_inputs_min_bytes: int = 1 << 16,
         max_cached_inputs: int = 32,
         heartbeat_interval: float | None = 5.0,
@@ -469,8 +456,6 @@ class DistributedExecutor(Executor):
             raise ValueError("chunksize must be >= 1")
         if task_timeout is not None and task_timeout <= 0:
             raise ValueError("task_timeout must be positive")
-        if scheduling not in ("steal", "static"):
-            raise ValueError("scheduling must be 'steal' or 'static'")
         if share_inputs_min_bytes < 1:
             raise ValueError("share_inputs_min_bytes must be >= 1")
         if max_cached_inputs < 1:
@@ -486,7 +471,6 @@ class DistributedExecutor(Executor):
         self.task_timeout = task_timeout
         self.chunksize = chunksize
         self.local_fallback = local_fallback
-        self.scheduling = scheduling
         self.share_inputs_min_bytes = share_inputs_min_bytes
         self.max_cached_inputs = max_cached_inputs
         self.heartbeat_interval = heartbeat_interval
@@ -853,14 +837,10 @@ class DistributedExecutor(Executor):
         links: list[_WorkerLink],
     ) -> list[Any]:
         chunksize = self.chunksize or self._default_chunksize(
-            len(items), len(links), stealing=self.scheduling == "steal"
+            len(items), len(links), per_lane=8
         )
         scheduler = ChunkScheduler(
-            items,
-            chunksize,
-            lanes=len(links),
-            stealing=self.scheduling == "steal",
-            tracer=self.tracer,
+            items, chunksize, lanes=len(links), tracer=self.tracer
         )
         results: list[Any] = [None] * len(items)
         lock = threading.Lock()
@@ -878,10 +858,9 @@ class DistributedExecutor(Executor):
             The retire happens under the map lock so concurrent lane
             deaths serialize: a later kill sees every chunk an earlier
             one parked, and nothing is ever dealt onto a lane that is
-            already dead (which static mode would strand).  Re-killing
-            an already-dead lane retires again — a chunk requeued onto
-            it by a feeder that unblocked *after* the first kill must
-            still migrate to the survivors.
+            already dead.  Re-killing an already-dead lane retires
+            again — a chunk requeued onto it by a feeder that unblocked
+            *after* the first kill must still migrate to the survivors.
             """
             with lock:
                 already_dead = index in dead
@@ -1061,11 +1040,10 @@ class DistributedExecutor(Executor):
         # their retry budget (after the deterministic backoff delay),
         # then re-dispatches leftovers over the live links.  A lane
         # that fails to (re)connect is killed like any other link
-        # failure — critically, its dealt chunks move to the survivors,
-        # or static mode would spin forever on chunks pinned to a lane
-        # that never runs.  Every round either completes a chunk or
-        # permanently burns a lane attempt (``attempts`` only grows,
-        # bounded by ``lane_retries``), so the loop terminates.
+        # failure, and its dealt chunks move to the survivors.  Every
+        # round either completes a chunk or permanently burns a lane
+        # attempt (``attempts`` only grows, bounded by
+        # ``lane_retries``), so the loop terminates.
         try:
             while scheduler.pending and not task_error:
                 with lock:

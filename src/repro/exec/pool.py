@@ -1,23 +1,25 @@
-"""``WorkerPool`` — a warm process pool reused across batches.
+"""``WorkerPool`` — the process pool, warm or cold, and its shared memory.
 
-:class:`~repro.core.engine.ParallelExecutor` spins up a fresh
-``ProcessPoolExecutor`` for every ``map`` call, which is the right
-trade-off for one big batch but pays the full process start-up cost
-(fork, interpreter state, first-touch imports) on *every* call — sweeps
-and estimators that issue many small batches spend more time creating
-pools than running trials.  :class:`WorkerPool` keeps one pool alive
-across successive ``run_batch`` / ``submit_batch`` calls instead,
-amortizing start-up to zero after the first batch (the pooling-over-
-per-task-provisioning argument: provision the expensive resource once,
-share it across many small jobs).
+The one process-pool executor of the stack.  A warm pool keeps its
+worker processes alive across successive ``run_batch`` /
+``submit_batch`` calls, so sweeps and estimators that issue many small
+batches pay process start-up (fork, interpreter state, first-touch
+imports) once instead of per batch.  ``idle_timeout=0`` makes it a
+*cold* pool: workers are reaped as soon as the last in-flight map ends,
+which is what ``Engine("parallel")`` builds for one big batch.
 
-Warm state the pool preserves across batches:
-
-* **worker processes** — created once, reused by every subsequent map;
-* **shared-memory input segments** — fixed input matrices published via
-  :meth:`publish_inputs` stay mapped for the life of the pool (keyed by
-  content digest, so repeated batches over the same matrix publish it
-  exactly once) and workers keep their attachments cached.
+This module is also the only place that creates, pins and unlinks
+``multiprocessing.shared_memory`` segments.  A fixed input matrix
+published via :meth:`WorkerPool.publish_inputs` is copied once into a
+segment keyed by content digest, so repeated batches over the same
+matrix share one machine-wide copy; workers attach read-only views and
+keep them cached.  Each publish *pins* its segment until the matching
+:meth:`WorkerPool.release_inputs`: a reap (idle timeout, or the cold
+pool's end-of-map reap) unlinks only unpinned segments, so a batch that
+published but has not yet mapped never loses its inputs.  A segment
+released while no workers are alive is unlinked at once; otherwise
+unpinned segments stay for reuse until a reap, :meth:`close`, or the
+bound on idle segments evicts them.
 
 Failure semantics: an exception *raised by a task* propagates to the
 caller and leaves the pool warm and reusable (trials are independent; one
@@ -26,20 +28,12 @@ OOM-killed) is discarded and rebuilt once, and the batch retried from
 scratch — trials are pure, so a retry is safe; if the rebuilt pool breaks
 too, the batch falls back to in-process serial execution with a warning.
 
-``idle_timeout`` reaps the worker processes after the pool has been
-unused that long (a timer thread calls ``shutdown`` on the inner pool)
-and unlinks the published shared-memory segments along with them, so an
-idle pool pins no resources; the next map transparently rebuilds the
-workers and republishes whatever inputs it needs.  :meth:`close` (or the
-context-manager exit) does the same, permanently.
-
-Scheduling: by default each map call runs through the shared
-work-stealing :class:`~repro.exec.stealing.ChunkScheduler` — one feeder
-thread per worker lane, one chunk in flight per lane, idle lanes
-stealing queued chunks from stragglers — so a slow worker (or an
-unlucky, expensive chunk) delays the batch by at most one chunk instead
-of its whole pre-assigned share.  ``scheduling="static"`` restores the
-pre-chunked ``ProcessPoolExecutor.map`` plan.
+Scheduling: each map call runs through the shared work-stealing
+:class:`~repro.exec.stealing.ChunkScheduler` — one feeder thread per
+worker lane, one chunk in flight per lane, idle lanes stealing queued
+chunks from stragglers — so a slow worker (or an unlucky, expensive
+chunk) delays the batch by at most one chunk instead of its whole
+pre-assigned share.
 """
 
 from __future__ import annotations
@@ -50,18 +44,13 @@ import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from multiprocessing import resource_tracker
 from multiprocessing import shared_memory as _shared_memory
 from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from ..core.engine import (
-    Executor,
-    _DigestCache,
-    _SharedInput,
-    _create_shared_segment,
-    _evict_shared_attachment,
-)
+from ..core.engine import Executor, _DigestCache
 from ..obs.metrics import MetricsRegistry
 from ..obs.recorder import FlightRecorder
 from ..obs.trace import NULL_TRACER, NullTracer, Tracer
@@ -71,13 +60,100 @@ from .stealing import ChunkScheduler
 __all__ = ["WorkerPool"]
 
 
+# ----------------------------------------------------------------------
+# Shared-memory input handles
+# ----------------------------------------------------------------------
+#: Process-local cache of attached shared-memory blocks, keyed by segment
+#: name.  Blocks stay attached for the life of the worker process; the
+#: parent unlinks a segment once no batch pins it, which on POSIX is safe
+#: while mappings remain open.
+_SHARED_ATTACHMENTS: dict[str, tuple[Any, np.ndarray]] = {}
+
+#: Unpinned segments a pool keeps for reuse before evicting the least
+#: recently published — a pool sweeping over many distinct matrices must
+#: not pin every one of them in ``/dev/shm`` until it closes.
+_MAX_IDLE_SEGMENTS = 32
+
+
+class _SharedInput:
+    """Pickle-light handle to a fixed input matrix living in shared memory."""
+
+    __slots__ = ("name", "shape", "dtype_str")
+
+    def __init__(self, name: str, shape: tuple[int, ...], dtype: np.dtype):
+        self.name = name
+        self.shape = shape
+        self.dtype_str = np.dtype(dtype).str
+
+    def attach(self) -> np.ndarray:
+        """A read-only array view of the segment (cached per process)."""
+        cached = _SHARED_ATTACHMENTS.get(self.name)
+        if cached is None:
+            # Attaching re-registers the segment with the resource tracker
+            # (bpo-38119).  Pool workers share the parent's tracker because
+            # WorkerPool starts it before forking them, so the registration
+            # is an idempotent set-add and the parent's unlink() removes the
+            # single entry.  A worker forked before the tracker existed
+            # would start its own, which unlinks the segment when the
+            # worker exits.
+            block = _shared_memory.SharedMemory(name=self.name)
+            array = np.ndarray(self.shape, dtype=self.dtype_str, buffer=block.buf)
+            array.flags.writeable = False
+            cached = (block, array)
+            _SHARED_ATTACHMENTS[self.name] = cached
+        return cached[1]
+
+
+_Segment = tuple[_shared_memory.SharedMemory, _SharedInput]
+
+
+def _create_shared_segment(inputs: np.ndarray) -> _Segment:
+    """Copy ``inputs`` into a fresh shared-memory segment; return block + handle."""
+    block = _shared_memory.SharedMemory(create=True, size=inputs.nbytes)
+    view = np.ndarray(inputs.shape, dtype=inputs.dtype, buffer=block.buf)
+    view[:] = inputs
+    return block, _SharedInput(block.name, inputs.shape, inputs.dtype)
+
+
+def _evict_shared_attachment(name: str) -> None:
+    """Drop the calling process's cached attachment of segment ``name``.
+
+    The parent may have attached its own view of a segment it published
+    (serial fallback for unpicklable tasks); the mapping must be closed
+    before the segment is unlinked so it does not outlive its pool.
+    """
+    cached = _SHARED_ATTACHMENTS.pop(name, None)
+    if cached is not None:
+        cached[0].close()
+
+
+def _release_segments(segments: Iterable[_Segment]) -> None:
+    for block, handle in segments:
+        _evict_shared_attachment(handle.name)
+        block.close()
+        block.unlink()
+
+
+def _fresh_tracker_lock() -> None:
+    """Pool-worker initializer: replace the inherited resource-tracker lock.
+
+    A worker forked while another parent thread was inside a tracker call
+    (creating or unlinking a segment) inherits that lock held by a thread
+    that does not exist in the worker, and would deadlock on its first
+    attach.  The worker is single-threaded here, so a fresh lock is safe;
+    the tracker connection itself is inherited and shared.
+    """
+    tracker: Any = resource_tracker._resource_tracker  # type: ignore[attr-defined]
+    tracker._lock = type(tracker._lock)()  # a fresh lock of the same kind
+
+
 def _run_chunk(fn: Callable[[Any], Any], items: list[Any]) -> list[Any]:
     """One scheduler chunk, executed inside a pool worker process."""
     return [fn(item) for item in items]
 
 
 class WorkerPool(Executor):
-    """A warm, reusable process-pool executor.
+    """A reusable process-pool executor; ``idle_timeout=0`` makes it cold.
 
     Parameters
     ----------
@@ -88,20 +164,14 @@ class WorkerPool(Executor):
         ``ceil(len(items) / (4 * max_workers))`` per map call.
     idle_timeout:
         Seconds of disuse after which worker processes are reaped (the
-        next map call rebuilds them).  ``None`` keeps workers forever.
+        next map call rebuilds them) together with the unpinned shared
+        segments.  ``0`` reaps synchronously when the last in-flight map
+        ends, with no timer thread (a cold, per-batch pool).  ``None``
+        keeps workers forever.
     share_inputs_min_bytes:
         Fixed input matrices at least this large are published once into
-        ``multiprocessing.shared_memory`` and kept mapped until the pool
-        idles out (``idle_timeout``) or closes.
-    scheduling:
-        ``"steal"`` (the default) drives each map call through the
-        shared :class:`~repro.exec.stealing.ChunkScheduler`: one feeder
-        thread per worker lane keeps at most one chunk in flight at a
-        time, so chunks are claimed just-in-time and an idle lane steals
-        queued chunks from a straggler instead of waiting out a
-        pre-assigned share.  ``"static"`` restores the pre-chunked
-        ``ProcessPoolExecutor.map`` plan (the round-robin baseline that
-        ``benchmarks/bench_exec_steal.py`` measures against).
+        ``multiprocessing.shared_memory`` instead of being pickled into
+        every task.
 
     Use as a context manager (or call :meth:`close`) to release workers
     and shared segments deterministically:
@@ -133,24 +203,20 @@ class WorkerPool(Executor):
         chunksize: int | None = None,
         idle_timeout: float | None = None,
         share_inputs_min_bytes: int = 1 << 16,
-        scheduling: str = "steal",
         registry: "MetricsRegistry | None" = None,
         tracer: "Tracer | NullTracer" = NULL_TRACER,
         recorder: "FlightRecorder | None" = None,
     ):
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        if idle_timeout is not None and idle_timeout <= 0:
-            raise ValueError("idle_timeout must be positive")
+        if idle_timeout is not None and idle_timeout < 0:
+            raise ValueError("idle_timeout must be >= 0")
         if share_inputs_min_bytes < 1:
             raise ValueError("share_inputs_min_bytes must be >= 1")
-        if scheduling not in ("steal", "static"):
-            raise ValueError("scheduling must be 'steal' or 'static'")
         self.max_workers = max_workers or (os.cpu_count() or 1)
         self.chunksize = chunksize
         self.idle_timeout = idle_timeout
         self.share_inputs_min_bytes = share_inputs_min_bytes
-        self.scheduling = scheduling
         self._pool: ProcessPoolExecutor | None = None
         self._lock = threading.RLock()
         self._active_maps = 0
@@ -160,8 +226,11 @@ class WorkerPool(Executor):
         #: lost the race to a map that used the pool in the meantime).
         self._reap_generation = 0
         self._closed = False
-        #: digest -> (segment block, handle), alive until close/idle-reap
-        self._segments: dict[str, tuple[_shared_memory.SharedMemory, _SharedInput]] = {}
+        #: digest -> (segment block, handle), least recently published first
+        self._segments: dict[str, _Segment] = {}
+        #: segment name -> publishes not yet released; pinned segments
+        #: survive reaps and eviction.
+        self._pins: dict[str, int] = {}
         #: Memoizes content digests of fixed inputs across batches.
         self._digest_cache = _DigestCache()
         #: Unified metrics/trace/flight-recorder hooks (private instances
@@ -192,13 +261,20 @@ class WorkerPool(Executor):
         if self._closed:
             raise RuntimeError("WorkerPool is closed")
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
+            # Workers must inherit the parent's resource tracker: one
+            # forked before it exists starts its own on first attach, and
+            # that tracker unlinks the attached segments when the worker
+            # exits — under the parent, which then fails to unlink them.
+            resource_tracker.ensure_running()
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.max_workers, initializer=_fresh_tracker_lock
+            )
         return self._pool
 
-    def _discard_pool(self) -> None:
+    def _discard_pool(self, wait: bool = False) -> None:
         pool, self._pool = self._pool, None
         if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+            pool.shutdown(wait=wait, cancel_futures=True)
 
     def _cancel_reap_timer(self) -> None:
         self._reap_generation += 1  # invalidate a fired-but-not-yet-run reap
@@ -210,6 +286,9 @@ class WorkerPool(Executor):
         if self.idle_timeout is None or self._pool is None:
             return
         self._cancel_reap_timer()
+        if self.idle_timeout == 0:
+            self._reap(self._reap_generation)
+            return
         generation = self._reap_generation
         timer = threading.Timer(self.idle_timeout, self._reap, args=(generation,))
         timer.daemon = True
@@ -222,33 +301,30 @@ class WorkerPool(Executor):
             # a map started after it fired: either way, keep the pool.
             if generation != self._reap_generation or self._active_maps:
                 return
-            self._discard_pool()
+            # A cold pool's workers exit before its map returns.
+            self._discard_pool(wait=self.idle_timeout == 0)
             # The workers holding the attachments are gone; free the
-            # segments too so an idle pool pins no shared memory (the
-            # next batch simply republishes what it needs).
-            segments = self._take_segments()
+            # unpinned segments too so an idle pool pins no shared memory
+            # (the next batch simply republishes what it needs).
+            segments = self._take_segments(pinned_too=False)
             self._reap_timer = None
-        self._release_segments(segments)
+        _release_segments(segments)
 
-    def _take_segments(
-        self,
-    ) -> dict[str, tuple[_shared_memory.SharedMemory, _SharedInput]]:
-        segments, self._segments = self._segments, {}
+    def _take_segments(self, pinned_too: bool) -> list[_Segment]:
+        """Remove (unpinned, unless ``pinned_too``) segments; caller holds the lock."""
+        taken = [
+            digest
+            for digest, (_block, handle) in self._segments.items()
+            if pinned_too or not self._pins.get(handle.name)
+        ]
+        if pinned_too:
+            self._pins.clear()
         self._digest_cache.clear()
-        return segments
-
-    @staticmethod
-    def _release_segments(
-        segments: dict[str, tuple[_shared_memory.SharedMemory, _SharedInput]],
-    ) -> None:
-        for block, handle in segments.values():
-            _evict_shared_attachment(handle.name)
-            block.close()
-            block.unlink()
+        return [self._segments.pop(digest) for digest in taken]
 
     # -- Executor contract ----------------------------------------------
     def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list[Any]:
-        """Run ``fn`` over ``items`` on the warm workers, in order."""
+        """Run ``fn`` over ``items`` on the pool's workers, in order."""
         items = list(items)
         if not items:
             return []
@@ -308,21 +384,16 @@ class WorkerPool(Executor):
     ) -> list[Any]:
         """One attempt at a batch on the current pool.
 
-        ``scheduling="static"`` is the pre-chunked ``pool.map`` plan.
-        ``scheduling="steal"`` runs one feeder thread per worker lane
-        over the shared :class:`ChunkScheduler`: each lane keeps exactly
-        one chunk in flight, so the pool's task queue never holds more
-        than ``lanes`` chunks and a lane that finishes early steals
-        queued chunks from a straggler instead of idling.  Task
-        exceptions and :class:`BrokenProcessPool` both propagate to
-        :meth:`map`, which owns the retry/fallback policy.
+        One feeder thread per worker lane runs over the shared
+        :class:`ChunkScheduler`: each lane keeps exactly one chunk in
+        flight, so the pool's task queue never holds more than ``lanes``
+        chunks and a lane that finishes early steals queued chunks from
+        a straggler instead of idling.  Task exceptions and
+        :class:`BrokenProcessPool` both propagate to :meth:`map`, which
+        owns the retry/fallback policy.
         """
-        if self.scheduling == "static":
-            return list(pool.map(fn, items, chunksize=chunksize))
         lanes = max(1, min(self.max_workers, math.ceil(len(items) / chunksize)))
-        scheduler = ChunkScheduler(
-            items, chunksize, lanes, stealing=True, tracer=self.tracer
-        )
+        scheduler = ChunkScheduler(items, chunksize, lanes, tracer=self.tracer)
         results: list[Any] = [None] * len(items)
         errors: list[BaseException] = []
 
@@ -368,7 +439,7 @@ class WorkerPool(Executor):
         )
 
     def publish_inputs(self, inputs: np.ndarray) -> _SharedInput | None:
-        """Publish once per distinct matrix; reuse the segment afterwards.
+        """Publish once per distinct matrix and pin it until released.
 
         Keyed by content digest (plus shape/dtype), so every batch over
         the same fixed inputs — the common sweep shape — shares a single
@@ -377,18 +448,40 @@ class WorkerPool(Executor):
         """
         if not self.wants_shared_inputs(inputs):
             return None
+        digest = self._digest_cache.digest(inputs)
         with self._lock:
             if self._closed:
                 raise RuntimeError("WorkerPool is closed")
-            digest = self._digest_cache.digest(inputs)
-            cached = self._segments.get(digest)
+            cached = self._segments.pop(digest, None)
             if cached is None:
                 cached = _create_shared_segment(inputs)
-                self._segments[digest] = cached
-            return cached[1]
+            self._segments[digest] = cached  # most recently published last
+            handle = cached[1]
+            self._pins[handle.name] = self._pins.get(handle.name, 0) + 1
+        return handle
 
     def release_inputs(self, handle: _SharedInput) -> None:
-        """Per-batch no-op: warm segments live until the pool closes."""
+        """Unpin ``handle``; unlink idle segments no worker can reuse.
+
+        Warm workers keep up to ``_MAX_IDLE_SEGMENTS`` unpinned segments
+        for later batches (least recently published go first); a pool
+        without live workers keeps none.
+        """
+        with self._lock:
+            pins = self._pins.pop(handle.name, 0) - 1
+            if pins > 0:
+                self._pins[handle.name] = pins
+                return
+            idle = [
+                key
+                for key, (_block, other) in self._segments.items()
+                if not self._pins.get(other.name)
+            ]
+            keep = _MAX_IDLE_SEGMENTS if self._pool is not None else 0
+            released = [
+                self._segments.pop(key) for key in idle[: max(0, len(idle) - keep)]
+            ]
+        _release_segments(released)
 
     # -- teardown -------------------------------------------------------
     def close(self) -> None:
@@ -399,10 +492,10 @@ class WorkerPool(Executor):
             self._closed = True
             self._cancel_reap_timer()
             pool, self._pool = self._pool, None
-            segments = self._take_segments()
+            segments = self._take_segments(pinned_too=True)
         if pool is not None:
             pool.shutdown(wait=True)
-        self._release_segments(segments)
+        _release_segments(segments)
 
     def __enter__(self) -> "WorkerPool":
         return self

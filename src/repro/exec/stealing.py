@@ -16,9 +16,10 @@ the static plan's locality), pops from its **head** while work remains,
 and — once its own deque is empty — **steals from the tail** of the
 richest victim.  A lane therefore never idles while any lane still has
 queued work, and the batch finishes when the *work* runs out, not when
-the unluckiest lane does.  ``stealing=False`` degrades to the static
-plan, which is what the ``benchmarks/bench_exec_steal.py`` baseline
-measures against.
+the unluckiest lane does.  A static plan is the special case of one
+chunk per lane (``chunksize = ceil(len(items) / lanes)``): no lane ever
+has a queued chunk left to steal, which is how
+``benchmarks/bench_exec_steal.py`` builds its baseline.
 
 Order never matters for correctness: every chunk carries its ``start``
 offset, so results are written back into their original positions, and
@@ -75,13 +76,8 @@ class ChunkScheduler:
         rebalance better but pay more per-chunk overhead).
     lanes:
         Number of consumers.  Chunks are dealt round-robin over lanes at
-        construction, so with ``stealing=False`` the schedule is exactly
-        the static round-robin plan.
-    stealing:
-        When True (the default), a lane whose own deque is empty steals
-        a chunk from the *tail* of the lane with the most queued chunks.
-        When False, :meth:`next_chunk` returns ``None`` as soon as the
-        lane's own deque is empty — the static baseline.
+        construction; a lane whose own deque is empty steals a chunk
+        from the *tail* of the lane with the most queued chunks.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`; steals and requeues
         are marked as instant events on the acting lane's track.  The
@@ -98,7 +94,6 @@ class ChunkScheduler:
         items: Sequence[Any],
         chunksize: int,
         lanes: int,
-        stealing: bool = True,
         tracer: "Tracer | NullTracer" = NULL_TRACER,
     ):
         if chunksize < 1:
@@ -107,7 +102,6 @@ class ChunkScheduler:
             raise ValueError("lanes must be >= 1")
         items = list(items)
         self.lanes = lanes
-        self.stealing = stealing
         self.tracer = tracer
         chunks = [
             Chunk(start, items[start : start + chunksize])
@@ -129,25 +123,20 @@ class ChunkScheduler:
         """The next chunk for ``lane``; ``None`` when it should stop.
 
         Pops the lane's own deque first (head: preserves the dealt
-        order); when that is empty and ``stealing`` is on, steals from
-        the tail of the victim with the most queued chunks.  ``None``
-        means no queued chunk is available *to this lane* — with
-        stealing on, that means every queue is empty (though chunks may
-        still be in flight on other lanes, and a failed lane may yet
-        :meth:`requeue` one).
+        order); when that is empty, steals from the tail of the victim
+        with the most queued chunks.  ``None`` means every queue is
+        empty (though chunks may still be in flight on other lanes, and
+        a failed lane may yet :meth:`requeue` one).
         """
         with self._lock:
             own = self._local[lane]
             if own:
                 return own.popleft()
-            if self.stealing:
-                victim = max(range(self.lanes), key=lambda i: len(self._local[i]))
-                if not self._local[victim]:
-                    return None
-                self.steals[lane] += 1
-                stolen = self._local[victim].pop()
-            else:
+            victim = max(range(self.lanes), key=lambda i: len(self._local[i]))
+            if not self._local[victim]:
                 return None
+            self.steals[lane] += 1
+            stolen = self._local[victim].pop()
         # Instant recorded outside the scheduler lock — the tracer has
         # its own; holding both invites lock-order trouble for nothing.
         if self.tracer.enabled:
@@ -167,9 +156,9 @@ class ChunkScheduler:
     def requeue(self, chunk: Chunk, lane: int) -> None:
         """Return a chunk whose fate is unknown (its lane failed).
 
-        The chunk goes back to the *head* of the failing lane's deque —
-        with stealing on, any other lane will pick it up; the caller's
-        outer dispatch loop handles the static / all-lanes-dead cases.
+        The chunk goes back to the *head* of the failing lane's deque,
+        where any other lane will steal it; the caller's outer dispatch
+        loop handles the all-lanes-dead case.
         """
         with self._lock:
             self.requeues[lane] += 1
@@ -182,13 +171,11 @@ class ChunkScheduler:
     def retire_lane(self, lane: int, survivors: "Sequence[int] | None" = None) -> None:
         """Spread a dead lane's queued chunks over the surviving lanes.
 
-        Needed in static mode (nobody would ever look at the dead
-        lane's deque) and harmless with stealing (it merely moves the
-        chunks to where they would have been stolen from).  Pass
+        The survivors then run them as their own work, in dealt order,
+        instead of stealing them one at a time from the tail.  Pass
         ``survivors`` — the lanes still alive — whenever other lanes may
-        already be dead: redistributing onto a dead lane would strand
-        the chunks in static mode.  With no (other) survivor the chunks
-        stay on this lane's deque, where :meth:`drain` finds them.
+        already be dead.  With no (other) survivor the chunks stay on
+        this lane's deque, where :meth:`drain` finds them.
         """
         with self._lock:
             targets = [

@@ -313,12 +313,7 @@ def _ensure_registry(resweep: bool = False) -> None:
                     importlib.import_module(module_name)
                 except ImportError:  # pragma: no cover - optional subpackage
                     continue
-        from ..core.engine import (
-            RunSpec,
-            TrialResult,
-            _SharedInput,
-            _TrialRunner,
-        )
+        from ..core.engine import RunSpec, TrialResult, _TrialRunner
         from ..core.errors import BroadcastCliqueError
         from ..core.network import CostReport
         from ..core.processor import ProcessorContext
@@ -329,6 +324,7 @@ def _ensure_registry(resweep: bool = False) -> None:
         from ..core.transcript import BroadcastEvent, Transcript
         from ..distributions.base import InputDistribution
         from ..linalg.bitvec import BitVector
+        from .pool import _SharedInput
 
         for root in (
             Protocol,

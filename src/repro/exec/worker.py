@@ -47,18 +47,20 @@ Run a worker from the command line::
     python -m repro.exec.worker --host 0.0.0.0 --port 9123 --processes 4 \\
         --secret-file /run/secrets/repro-wire
 
-``--processes k`` executes tasks through one local process pool of ``k``
-workers shared by every connection, so one remote host contributes up to
-``k`` cores in total; the default runs tasks inline in each connection's
-serving thread.  ``--fault-plan plan.json`` (with ``--fault-site``)
-arms the serve loop with a deterministic
-:class:`~repro.exec.faults.FaultPlan` schedule — real-subprocess chaos
-for the conformance suite; see ``docs/robustness.md``.
+``--processes k`` executes tasks on one local
+:class:`~repro.exec.pool.WorkerPool` of ``k`` workers shared by every
+connection, so one remote host contributes up to ``k`` cores in total;
+the default runs tasks inline in each connection's serving thread.
+``--fault-plan plan.json`` (with ``--fault-site``) arms the serve loop
+with a deterministic :class:`~repro.exec.faults.FaultPlan` schedule —
+real-subprocess chaos for the conformance suite; see
+``docs/robustness.md``.
 :func:`serve` is also importable directly, which is how the in-process
 :class:`~repro.exec.distributed.LoopbackWorker` used by the test-suite
 hosts the same loop on a background thread.
 
 >>> import socket
+>>> from repro.exec.wire import recv_frame, send_frame
 >>> left, right = socket.socketpair()
 >>> send_frame(left, ("ping",))
 >>> recv_frame(right)
@@ -78,10 +80,11 @@ from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
-from ..core.engine import _content_digest, _create_shared_segment, _SharedInput
+from ..core.engine import _content_digest
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_TRACER, NullTracer, Tracer
 from .faults import MANGLE_KINDS, FaultEvent, FaultInjector, FaultPlan, send_mangled
+from .pool import WorkerPool, _SharedInput
 from .wire import (
     MAX_FRAME_BYTES,
     CorruptFrameError,
@@ -92,24 +95,16 @@ from .wire import (
     decode_array_payload,
     decode_value,
     function_digest,
-    recv_frame,
-    send_frame,
 )
 
 logger = logging.getLogger(__name__)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import ssl
-    from concurrent.futures import ProcessPoolExecutor
 
-#: ``send_frame`` / ``recv_frame`` are re-exported for backward
-#: compatibility; they live in :mod:`repro.exec.wire` (the schema codec
-#: module) together with the session machinery.
 __all__ = [
     "PublishedInput",
     "MAX_FRAME_BYTES",
-    "send_frame",
-    "recv_frame",
     "serve",
     "main",
 ]
@@ -130,10 +125,9 @@ class PublishedInput:
     serializes to digest + metadata only (what travels over the wire).
     On the worker, the serve loop binds the handle before executing the
     chunk — either to the cached array directly (inline execution), or
-    to a shared-memory segment (:meth:`bind_shared`) when the chunk is
-    headed for the worker's optional local process pool, so a large
-    matrix is **not** re-serialized into every chunk of the
-    serve-to-pool hop.
+    to a segment the worker's local :class:`~repro.exec.pool.WorkerPool`
+    published (:meth:`bind_shared`), so a large matrix is **not**
+    re-serialized into every chunk of the serve-to-pool hop.
     """
 
     __slots__ = ("digest", "shape", "dtype_str", "_array", "_shared")
@@ -197,23 +191,13 @@ class _InputStore:
     LRU-bounded (a worker serving many clients — or one client sweeping
     over many distinct matrices — must not grow without limit; eviction
     is safe because a map referencing an evicted digest gets a
-    ``("need", digest)`` reply and the client republishes).  For workers
-    running a local process pool, the store also materialises a
-    shared-memory segment per digest on demand, so pool tasks attach one
-    machine-wide copy instead of deserializing the matrix per chunk.
+    ``("need", digest)`` reply and the client republishes).
     """
 
     def __init__(self, max_entries: int = 32):
         self.max_entries = max_entries
         self._lock = threading.Lock()
         self._arrays: dict[str, np.ndarray] = {}
-        self._segments: dict[str, tuple[Any, _SharedInput]] = {}
-        #: digest → chunks currently executing against its segment; an
-        #: unlink requested while users remain is deferred (``_doomed``)
-        #: until the last user finishes — unlinking earlier would make a
-        #: queued pool task's ``SharedMemory(name=...)`` attach fail.
-        self._users: dict[str, int] = {}
-        self._doomed: set[str] = set()
 
     def put(self, digest: str, array: np.ndarray) -> None:
         """Store a decoded ``publish_inputs`` matrix under its digest."""
@@ -223,68 +207,18 @@ class _InputStore:
             while len(self._arrays) > self.max_entries:
                 oldest = next(iter(self._arrays))
                 del self._arrays[oldest]
-                self._unlink(oldest)
 
     def get(self, digest: str) -> "np.ndarray | None":
         with self._lock:
             return self._arrays.get(digest)
 
-    def shared_handle(self, digest: str) -> "_SharedInput | None":
-        """A shared-memory handle to the matrix, created lazily.
-
-        Registers the caller as a segment user; pair every successful
-        call with :meth:`done_with_shared` once the chunk finished.
-        """
-        with self._lock:
-            array = self._arrays.get(digest)
-            if array is None:
-                return None
-            cached = self._segments.get(digest)
-            if cached is None:
-                cached = _create_shared_segment(np.ascontiguousarray(array))
-                self._segments[digest] = cached
-                self._doomed.discard(digest)
-            self._users[digest] = self._users.get(digest, 0) + 1
-            return cached[1]
-
-    def done_with_shared(self, digest: str) -> None:
-        """Drop a chunk's claim on a segment; unlink if doomed and idle."""
-        with self._lock:
-            count = self._users.get(digest, 0) - 1
-            if count > 0:
-                self._users[digest] = count
-                return
-            self._users.pop(digest, None)
-            if digest in self._doomed:
-                self._doomed.discard(digest)
-                self._unlink(digest)
-
     def release(self, digest: str) -> None:
         with self._lock:
             self._arrays.pop(digest, None)
-            self._unlink(digest)
-
-    def _unlink(self, digest: str) -> None:
-        # Caller holds the lock.  Already-attached pool views survive a
-        # POSIX unlink; a chunk that has not attached *yet* would fail,
-        # so segments with live users are doomed instead and unlinked by
-        # the last done_with_shared.
-        if self._users.get(digest):
-            if digest in self._segments:
-                self._doomed.add(digest)
-            return
-        cached = self._segments.pop(digest, None)
-        if cached is not None:
-            block, _handle = cached
-            block.close()
-            block.unlink()
 
     def close(self) -> None:
         with self._lock:
             self._arrays.clear()
-            self._users.clear()  # serve is exiting; force the unlinks
-            for digest in list(self._segments):
-                self._unlink(digest)
 
 
 class _FnStore:
@@ -327,11 +261,11 @@ class _FnStore:
 def _run_chunk(
     fn: Callable[[Any], Any],
     items: list[Any],
-    pool: "ProcessPoolExecutor | None",
+    pool: WorkerPool | None,
 ) -> list[Any]:
     if pool is None:
         return [fn(item) for item in items]
-    return list(pool.map(fn, items))
+    return pool.map(fn, items)
 
 
 #: Frame kind → the fault scope its replies are scheduled under.
@@ -366,7 +300,7 @@ def _task_error_reply(exc: BaseException) -> tuple[Any, ...]:
 
 def _handle_connection(
     conn: socket.socket,
-    pool: "ProcessPoolExecutor | None",
+    pool: WorkerPool | None,
     max_requests: int | None,
     input_store: _InputStore,
     fn_store: _FnStore,
@@ -559,7 +493,7 @@ def _handle_connection(
                 session.send(_task_error_reply(exc))
                 continue
             handle = getattr(fn, "shared_input", None)
-            shared = None
+            shared: _SharedInput | None = None
             if isinstance(handle, PublishedInput) and not handle.bound:
                 cached = input_store.get(handle.digest)
                 if cached is None:
@@ -569,11 +503,8 @@ def _handle_connection(
                     if not _reply(session, ("need", handle.digest), fault):
                         return
                     continue
-                shared = (
-                    input_store.shared_handle(handle.digest)
-                    if pool is not None
-                    else None
-                )
+                # Pinned in the pool until this chunk is done with it.
+                shared = pool.publish_inputs(cached) if pool is not None else None
                 if shared is not None:
                     handle.bind_shared(shared)
                 else:
@@ -591,7 +522,7 @@ def _handle_connection(
                 session.send(_task_error_reply(exc))
             finally:
                 if shared is not None:
-                    input_store.done_with_shared(handle.digest)
+                    pool.release_inputs(shared)
             if closing:
                 return
             served += 1
@@ -620,8 +551,9 @@ def serve(
     ``port=0`` binds an OS-assigned port; ``ready_callback`` receives the
     actual ``(host, port)`` once listening — how in-process loopback
     workers discover their address.  ``processes > 0`` fans each chunk
-    out over a local process pool.  ``request_delay`` injects that many
-    seconds of latency before each map frame (a synthetic slow host).
+    out over a local :class:`~repro.exec.pool.WorkerPool`.
+    ``request_delay`` injects that many seconds of latency before each
+    map frame (a synthetic slow host).
     ``fault_injector`` arms the loop with a deterministic
     :class:`~repro.exec.faults.FaultPlan` schedule: it is consulted on
     every accepted connection (any ``accept``-scope fault closes the
@@ -643,8 +575,8 @@ def serve(
     Published fixed inputs live in a digest-keyed store scoped to this
     serve call: shared by all its connections, LRU-bounded at
     ``max_cached_inputs`` distinct matrices (clients refill evicted
-    digests via the ``("need", digest)`` reply), mirrored into
-    shared-memory segments for the local process pool when
+    digests via the ``("need", digest)`` reply), published to the local
+    pool's shared memory for the chunks that use them when
     ``processes > 0``, and released when the loop returns.  Registered
     task callables live in a twin store (``max_cached_fns``, healed via
     ``("need_fn", digest)``), kept as verified encoded bytes and decoded
@@ -655,9 +587,13 @@ def serve(
     any) — for in-process loopback workers this is typically the
     *client's* tracer, so both sides land in one timeline.
     """
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(max_workers=processes) if processes > 0 else None
+    # Every published matrix goes to the pool's shared memory, however
+    # small: the chunks then carry a segment name instead of the array.
+    pool = (
+        WorkerPool(max_workers=processes, share_inputs_min_bytes=1)
+        if processes > 0
+        else None
+    )
     input_store = _InputStore(max_cached_inputs)
     fn_store = _FnStore(max_cached_fns)
     server = socket.create_server((host, port))
@@ -709,7 +645,7 @@ def serve(
         for thread in threads:
             thread.join(timeout=1.0)
         if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+            pool.close()
         input_store.close()
 
 

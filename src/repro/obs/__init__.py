@@ -5,8 +5,9 @@ Three pieces, all optional and all off-by-default on the hot path:
 * :class:`MetricsRegistry` — thread-safe labelled
   :class:`Counter`/:class:`Gauge`/:class:`Histogram` series with JSON
   round-trip; the unified home of every counter the exec stack exposes
-  (``ErrorTelemetry``, ``Engine.batch_fallbacks``, steal/requeue stats,
-  pool breakages, sweep retries) behind their original attribute paths.
+  (``ErrorTelemetry``, ``Engine.batch_fallbacks`` as a per-reason dict,
+  steal/requeue stats, pool breakages, sweep retries) behind their
+  original attribute paths.
 * :class:`Tracer` / :data:`NULL_TRACER` — span-based tracing with an
   injectable monotonic clock and Chrome/Perfetto trace-event export;
   the null tracer is a zero-alloc no-op so instrumentation costs

@@ -2,7 +2,7 @@
 
 Before this module, the execution stack's operational evidence lived in
 scattered ad-hoc counters — ``ErrorTelemetry`` dicts, bare ints like
-``Engine.batch_fallbacks`` and ``WorkerPool.broken_pools``, per-lane
+``WorkerPool.broken_pools``, the engine's fallback count, per-lane
 lists on ``ChunkScheduler`` — none of which could be correlated,
 exported together, or compared across runs.  :class:`MetricsRegistry`
 is the one substrate they all now sit on: a thread-safe collection of

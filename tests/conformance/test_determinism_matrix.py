@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.cliques.subsample import PlantedCliqueSubsampleProtocol
-from repro.core import Engine, ParallelExecutor, RunSpec, SerialExecutor
+from repro.core import Engine, RunSpec, SerialExecutor
 from repro.distributions import UniformRows
 from repro.distributions.undirected import (
     UndirectedPlantedClique,
@@ -45,7 +45,9 @@ def serial_executor():
 
 @contextlib.contextmanager
 def parallel_executor():
-    yield ParallelExecutor(max_workers=2)
+    # The cold pool: workers start with each batch and are reaped after it.
+    with WorkerPool(max_workers=2, idle_timeout=0) as pool:
+        yield pool
 
 
 @contextlib.contextmanager

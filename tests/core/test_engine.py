@@ -18,7 +18,6 @@ from repro.core import (
     BatchResult,
     Engine,
     FunctionProtocol,
-    ParallelExecutor,
     Protocol,
     PublicCoins,
     RunSpec,
@@ -27,6 +26,7 @@ from repro.core import (
     run_protocol,
 )
 from repro.distributions import UniformRows
+from repro.exec import WorkerPool
 from repro.lowerbounds import TopSubmatrixRankProtocol
 from repro.protocols import FingerprintEqualityProtocol
 
@@ -89,7 +89,9 @@ class TestDeterminism:
     def test_serial_equals_parallel(self):
         spec = rank_spec(record_inputs=True)
         serial = Engine(SerialExecutor()).run_batch(spec, 16)
-        parallel = Engine(ParallelExecutor(max_workers=2)).run_batch(spec, 16)
+        parallel = Engine(WorkerPool(max_workers=2, idle_timeout=0)).run_batch(
+            spec, 16
+        )
         assert batches_identical(serial, parallel)
         assert all(
             (a.inputs == b.inputs).all() for a, b in zip(serial, parallel)
@@ -121,7 +123,9 @@ class TestDeterminism:
             public_coins=PublicCoins,
         )
         serial = Engine("serial").run_batch(spec, 10)
-        parallel = Engine(ParallelExecutor(max_workers=2)).run_batch(spec, 10)
+        parallel = Engine(WorkerPool(max_workers=2, idle_timeout=0)).run_batch(
+            spec, 10
+        )
         assert batches_identical(serial, parallel)
         assert (serial.public_bits > 0).all()
 
@@ -190,7 +194,8 @@ class TestExecutors:
     def test_resolve_names(self):
         assert isinstance(resolve_executor(None), SerialExecutor)
         assert isinstance(resolve_executor("serial"), SerialExecutor)
-        assert isinstance(resolve_executor("parallel"), ParallelExecutor)
+        parallel = resolve_executor("parallel")
+        assert isinstance(parallel, WorkerPool) and parallel.idle_timeout == 0
         with pytest.raises(ValueError):
             resolve_executor("gpu")
 
@@ -202,7 +207,9 @@ class TestExecutors:
         )
         serial = Engine(SerialExecutor()).run_batch(spec, 6)
         with pytest.warns(RuntimeWarning, match="not picklable"):
-            parallel = Engine(ParallelExecutor(max_workers=2)).run_batch(spec, 6)
+            parallel = Engine(WorkerPool(max_workers=2, idle_timeout=0)).run_batch(
+                spec, 6
+            )
         assert batches_identical(serial, parallel)
 
     def test_zero_trials(self):

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.core.engine import Engine, ParallelExecutor, RunSpec
+from repro.core.engine import Engine, RunSpec
 from repro.core.errors import BatchFallbackWarning
 from repro.distinguish.sampling import (
     estimate_protocol_advantage,
@@ -21,6 +21,7 @@ from repro.distinguish.sampling import (
 )
 from repro.distributions.prg_dists import PRGOutput
 from repro.distributions.uniform import UniformRows
+from repro.exec import WorkerPool
 from repro.lowerbounds.hierarchy import TopSubmatrixRankProtocol, accuracy_on_uniform
 from repro.prg.attacks import SupportMembershipAttack
 from repro.protocols.parity import GlobalParityProtocol
@@ -153,10 +154,10 @@ class TestBatchFallbackSignal:
         engine = Engine()
         with pytest.warns(BatchFallbackWarning, match="supports_batch"):
             engine.run_batch(self.fallback_spec(UnbatchedParityProtocol()), 4)
-        assert engine.batch_fallbacks == 1
+        assert sum(engine.batch_fallbacks.values()) == 1
         with pytest.warns(BatchFallbackWarning):
             engine.run_batch(self.fallback_spec(UnbatchedParityProtocol()), 4)
-        assert engine.batch_fallbacks == 2
+        assert sum(engine.batch_fallbacks.values()) == 2
 
     def test_warning_on_batch_without_keys(self):
         """supports_batch alone is not enough: keys cannot be synthesized,
@@ -164,7 +165,7 @@ class TestBatchFallbackSignal:
         engine = Engine()
         with pytest.warns(BatchFallbackWarning, match="supports_batch_keys"):
             fast = engine.run_batch(self.fallback_spec(KeylessAttack(k=3)), 6)
-        assert engine.batch_fallbacks == 1
+        assert sum(engine.batch_fallbacks.values()) == 1
         want = Engine().run_batch(
             RunSpec(
                 protocol=SupportMembershipAttack(k=3),
@@ -187,7 +188,7 @@ class TestBatchFallbackSignal:
         )
         with pytest.warns(BatchFallbackWarning, match="full-fidelity"):
             engine.run_batch(spec, 4)
-        assert engine.batch_fallbacks == 1
+        assert sum(engine.batch_fallbacks.values()) == 1
 
     def test_no_warning_when_fast_path_taken(self):
         engine = Engine()
@@ -201,7 +202,7 @@ class TestBatchFallbackSignal:
             warnings.simplefilter("error", BatchFallbackWarning)
             engine.run_batch(spec, 6)
             engine.run_batch(spec, 0)  # empty batches are honoured too
-        assert engine.batch_fallbacks == 0
+        assert sum(engine.batch_fallbacks.values()) == 0
 
     def test_no_warning_without_vectorized(self):
         engine = Engine()
@@ -213,7 +214,7 @@ class TestBatchFallbackSignal:
         with warnings.catch_warnings():
             warnings.simplefilter("error", BatchFallbackWarning)
             engine.run_batch(spec, 4)
-        assert engine.batch_fallbacks == 0
+        assert sum(engine.batch_fallbacks.values()) == 0
 
 
 class TestVectorizedEstimators:
@@ -261,7 +262,7 @@ class TestSharedMemoryInputs:
         )
         serial = Engine().run_batch(spec, 12)
         parallel = Engine(
-            ParallelExecutor(max_workers=2, share_inputs_min_bytes=1)
+            WorkerPool(max_workers=2, idle_timeout=0, share_inputs_min_bytes=1)
         ).run_batch(spec, 12)
         assert serial.outputs == parallel.outputs
         assert serial.transcript_keys == parallel.transcript_keys
@@ -271,7 +272,7 @@ class TestSharedMemoryInputs:
     def test_below_threshold_skips_sharing(self, rng):
         inputs = rng.integers(0, 2, size=(6, 5), dtype=np.uint8)
         spec = RunSpec(protocol=SupportMembershipAttack(k=3), inputs=inputs, seed=2)
-        engine = Engine(ParallelExecutor(max_workers=2))
+        engine = Engine(WorkerPool(max_workers=2, idle_timeout=0))
         assert not engine._should_share_inputs(spec, 8)
         serial = Engine().run_batch(spec, 8)
         parallel = engine.run_batch(spec, 8)
@@ -283,7 +284,9 @@ class TestSharedMemoryInputs:
             distribution=UniformRows(8, 5),
             seed=2,
         )
-        engine = Engine(ParallelExecutor(max_workers=2, share_inputs_min_bytes=1))
+        engine = Engine(
+            WorkerPool(max_workers=2, idle_timeout=0, share_inputs_min_bytes=1)
+        )
         assert not engine._should_share_inputs(spec, 8)
 
     def test_no_leaked_segments(self, rng):
@@ -292,7 +295,7 @@ class TestSharedMemoryInputs:
         before = set(glob.glob("/dev/shm/psm_*"))
         inputs = rng.integers(0, 2, size=(16, 9), dtype=np.uint8)
         spec = RunSpec(protocol=SupportMembershipAttack(k=5), inputs=inputs, seed=4)
-        Engine(ParallelExecutor(max_workers=2, share_inputs_min_bytes=1)).run_batch(
-            spec, 10
-        )
+        Engine(
+            WorkerPool(max_workers=2, idle_timeout=0, share_inputs_min_bytes=1)
+        ).run_batch(spec, 10)
         assert set(glob.glob("/dev/shm/psm_*")) <= before

@@ -12,8 +12,8 @@ from repro.distributions import UniformRows
 from repro.exec import DistributedExecutor, LoopbackWorker
 from repro.exec.faults import FaultEvent, FaultInjector
 from repro.exec.health import DEAD, SUSPECT, FleetDegradedWarning
-from repro.exec.wire import register_wire_function
-from repro.exec.worker import PublishedInput, recv_frame, send_frame
+from repro.exec.wire import recv_frame, register_wire_function, send_frame
+from repro.exec.worker import PublishedInput
 from repro.lowerbounds import TopSubmatrixRankProtocol
 
 

@@ -2,6 +2,9 @@
 
 import glob
 import os
+import subprocess
+import sys
+import textwrap
 import time
 
 import numpy as np
@@ -19,6 +22,14 @@ def _square(x):
 
 def _boom(x):
     raise ValueError(f"task {x} failed")
+
+
+def _attached_sum(handle):
+    return int(handle.attach().sum())
+
+
+def _segment_exists(handle):
+    return os.path.exists(f"/dev/shm/{handle.name}")
 
 
 def _exit_once(path):
@@ -171,9 +182,82 @@ class TestIdleReaping:
         with pytest.raises(ValueError):
             WorkerPool(max_workers=0)
         with pytest.raises(ValueError):
-            WorkerPool(idle_timeout=0.0)
+            WorkerPool(idle_timeout=-1.0)
         with pytest.raises(ValueError):
             WorkerPool(share_inputs_min_bytes=0)
+        WorkerPool(idle_timeout=0).close()  # 0 is the cold pool
+
+
+class TestColdPool:
+    """``idle_timeout=0``: reaped synchronously as each map ends."""
+
+    def test_not_warm_after_each_map(self):
+        with WorkerPool(max_workers=2, idle_timeout=0) as pool:
+            for _ in range(2):
+                assert pool.map(_square, range(6)) == [x * x for x in range(6)]
+                assert not pool.warm
+                assert pool._reap_timer is None  # no timer thread
+
+    def test_segment_gone_after_batch(self, rng):
+        before = set(glob.glob("/dev/shm/psm_*"))
+        inputs = rng.integers(0, 2, size=(12, 9), dtype=np.uint8)
+        spec = rank_spec(distribution=None, inputs=inputs)
+        golden = Engine(SerialExecutor()).run_batch(spec, 8)
+        with WorkerPool(
+            max_workers=2, idle_timeout=0, share_inputs_min_bytes=1
+        ) as pool:
+            assert Engine(pool).run_batch(spec, 8).outputs == golden.outputs
+            assert pool._segments == {}
+            assert set(glob.glob("/dev/shm/psm_*")) <= before
+
+    def test_pinned_handle_survives_unrelated_reap(self, rng):
+        inputs = rng.integers(0, 2, size=(12, 9), dtype=np.uint8)
+        with WorkerPool(
+            max_workers=2, idle_timeout=0, share_inputs_min_bytes=1
+        ) as pool:
+            handle = pool.publish_inputs(inputs)
+            # An unrelated map ends and reaps the pool: the handle is
+            # still pinned, so its segment stays linked.
+            assert pool.map(_square, range(4)) == [0, 1, 4, 9]
+            assert not pool.warm
+            assert _segment_exists(handle)
+            # Fresh workers can still attach it.
+            assert pool.map(_attached_sum, [handle, handle]) == [
+                int(inputs.sum())
+            ] * 2
+            assert _segment_exists(handle)
+            pool.release_inputs(handle)
+            assert not _segment_exists(handle)
+            assert pool._segments == {}
+
+    def test_concurrent_batches_keep_their_inputs(self):
+        """Batches on one cold pool publish, map and release concurrently;
+        a reap ending one batch must never unlink another's inputs."""
+        before = set(glob.glob("/dev/shm/psm_*"))
+        specs = [
+            rank_spec(
+                distribution=None,
+                inputs=np.random.default_rng(seed).integers(
+                    0, 2, size=(8, 8), dtype=np.uint8
+                ),
+                seed=seed,
+            )
+            for seed in range(8)
+        ]
+        golden = [Engine(SerialExecutor()).run_batch(spec, 6) for spec in specs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with WorkerPool(
+                max_workers=2, idle_timeout=0, share_inputs_min_bytes=1
+            ) as pool, Engine(pool, max_inflight=4) as engine:
+                futures = [engine.submit_batch(spec, 6) for spec in specs]
+                results = [future.result(timeout=120) for future in futures]
+                assert pool._segments == {} and pool._pins == {}
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.outputs for r in results] == [g.outputs for g in golden]
+        assert set(glob.glob("/dev/shm/psm_*")) <= before
 
 
 class TestSharedInputs:
@@ -239,3 +323,65 @@ class TestSharedInputs:
                     rank_spec(distribution=None, inputs=inputs), 6
                 )
             assert len(pool._segments) == 2
+
+    def test_unpinned_segments_are_bounded(self):
+        from repro.exec.pool import _MAX_IDLE_SEGMENTS
+
+        with WorkerPool(max_workers=2, share_inputs_min_bytes=1) as pool:
+            assert pool.map(_square, [1]) == [1]  # warm: released segments stay
+            handles = []
+            for seed in range(_MAX_IDLE_SEGMENTS + 2):
+                inputs = np.full((4, 4), seed, dtype=np.uint8)
+                handles.append(pool.publish_inputs(inputs))
+                pool.release_inputs(handles[-1])
+            assert len(pool._segments) == _MAX_IDLE_SEGMENTS
+            # The least recently published two were unlinked.
+            assert [_segment_exists(h) for h in handles[:3]] == [
+                False,
+                False,
+                True,
+            ]
+
+    def test_sampled_then_fixed_batches_close_cleanly(self):
+        """Regression: a sampled batch forks the workers before the first
+        publish.  Workers forked before the parent's resource tracker
+        existed started their own, which unlinked the segments when the
+        workers exited, so ``close()`` raised ``FileNotFoundError``.  A
+        fresh interpreter, because an earlier test in this process may
+        already have started the tracker."""
+        script = textwrap.dedent(
+            """
+            import numpy as np
+            from repro.core import Engine, RunSpec
+            from repro.distributions import UniformRows
+            from repro.exec import WorkerPool
+            from repro.lowerbounds import TopSubmatrixRankProtocol
+
+            pool = WorkerPool(max_workers=2, share_inputs_min_bytes=1)
+            engine = Engine(pool)
+            protocol = TopSubmatrixRankProtocol(3)
+            engine.run_batch(
+                RunSpec(protocol=protocol, distribution=UniformRows(8, 8), seed=1),
+                16,
+            )
+            for seed in (2, 3):
+                inputs = np.random.default_rng(seed).integers(
+                    0, 2, size=(8, 8), dtype=np.uint8
+                )
+                engine.run_batch(
+                    RunSpec(protocol=protocol, inputs=inputs, seed=seed), 16
+                )
+            pool.close()
+            """
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "resource_tracker" not in result.stderr

@@ -1,4 +1,9 @@
-"""Tests for the shared work-stealing chunk scheduler and its consumers."""
+"""Tests for the shared work-stealing chunk scheduler and its consumers.
+
+"Static mode" here is the pinned plan the steal benchmark measures
+against: one chunk per lane (``chunksize = ceil(items / lanes)``), so no
+lane ever has a queued chunk left to steal.
+"""
 
 import threading
 
@@ -52,12 +57,11 @@ class TestChunkScheduler:
         assert sched.steals[0] == 1
 
     def test_static_mode_never_steals(self):
-        sched = ChunkScheduler(list(range(12)), chunksize=2, lanes=3, stealing=False)
-        assert sched.next_chunk(0) is not None
-        assert sched.next_chunk(0) is not None
-        assert sched.next_chunk(0) is None  # own deque empty: stop
+        sched = ChunkScheduler(list(range(12)), chunksize=4, lanes=3)
+        assert [sched.next_chunk(lane).start for lane in range(3)] == [0, 4, 8]
+        assert sched.next_chunk(0) is None  # every deque empty: stop
         assert sched.total_steals() == 0
-        assert sched.queued == 4  # other lanes' chunks untouched
+        assert sched.queued == 0
 
     def test_pending_tracks_completion(self):
         sched = ChunkScheduler(list(range(8)), chunksize=2, lanes=1)
@@ -79,15 +83,14 @@ class TestChunkScheduler:
         assert chunk.start in starts
 
     def test_retire_lane_moves_chunks_to_survivors(self):
-        sched = ChunkScheduler(
-            list(range(12)), chunksize=2, lanes=3, stealing=False
-        )
+        sched = ChunkScheduler(list(range(12)), chunksize=2, lanes=3)
         sched.retire_lane(0)
         drained = []
         for lane in (1, 2):
-            while (chunk := sched.next_chunk(lane)) is not None:
-                drained.append(chunk.start)
+            for _ in range(3):  # each survivor's own share, no steals
+                drained.append(sched.next_chunk(lane).start)
         assert sorted(drained) == [0, 2, 4, 6, 8, 10]
+        assert sched.total_steals() == 0
 
     def test_drain_returns_queued_in_offset_order(self):
         sched = ChunkScheduler(list(range(9)), chunksize=2, lanes=2)
@@ -133,21 +136,16 @@ class TestWorkerPoolStealing:
     def test_steal_is_default_and_bit_identical_to_serial(self):
         golden = Engine(SerialExecutor()).run_batch(rank_spec(), 24)
         with WorkerPool(max_workers=2) as pool:
-            assert pool.scheduling == "steal"
             batch = Engine(pool).run_batch(rank_spec(), 24)
         assert batch.outputs == golden.outputs
         assert batch.transcript_keys == golden.transcript_keys
 
     def test_static_mode_matches_steal_mode(self):
-        with WorkerPool(max_workers=2, scheduling="static") as static_pool:
+        with WorkerPool(max_workers=2, chunksize=12) as static_pool:
             static = Engine(static_pool).run_batch(rank_spec(), 24)
-        with WorkerPool(max_workers=2, scheduling="steal") as steal_pool:
+        with WorkerPool(max_workers=2) as steal_pool:
             steal = Engine(steal_pool).run_batch(rank_spec(), 24)
         assert static.outputs == steal.outputs
-
-    def test_scheduling_validation(self):
-        with pytest.raises(ValueError):
-            WorkerPool(scheduling="roulette")
 
     def test_task_error_propagates_and_pool_stays_warm(self):
         with WorkerPool(max_workers=2) as pool:
@@ -167,7 +165,7 @@ class TestDistributedStealing:
         """With one straggler, stealing moves chunks to the fast host."""
         with LoopbackWorker() as fast, LoopbackWorker(request_delay=0.05) as slow:
             with DistributedExecutor(
-                [fast.endpoint, slow.endpoint], chunksize=1, scheduling="steal"
+                [fast.endpoint, slow.endpoint], chunksize=1
             ) as executor:
                 assert executor.map(_square, range(10)) == [
                     x * x for x in range(10)
@@ -175,9 +173,13 @@ class TestDistributedStealing:
                 assert executor.last_map_steals > 0
 
     def test_static_mode_pins_chunks(self):
-        with LoopbackWorker() as w1, LoopbackWorker() as w2:
+        # Each chunk outlasts the other lane's start-up by far, so both
+        # lanes hold their own chunk before either could steal it.
+        with LoopbackWorker(request_delay=0.1) as w1, LoopbackWorker(
+            request_delay=0.1
+        ) as w2:
             with DistributedExecutor(
-                [w1.endpoint, w2.endpoint], chunksize=1, scheduling="static"
+                [w1.endpoint, w2.endpoint], chunksize=5
             ) as executor:
                 assert executor.map(_square, range(10)) == [
                     x * x for x in range(10)
@@ -188,35 +190,30 @@ class TestDistributedStealing:
         """Same results either way on a skewed fleet; the wall-clock
         claim itself lives in benchmarks/bench_exec_steal.py (best-of-N
         with a 1.3x bar), not in the unit suite where a single noisy
-        run would flake."""
+        run would flake.  The slow worker is lane 0, so it claims its
+        pinned chunk before the fast lane could finish and steal it."""
 
-        def run(scheduling):
+        def run(chunksize):
             with LoopbackWorker() as fast, LoopbackWorker(
                 request_delay=0.04
             ) as slow:
                 with DistributedExecutor(
-                    [fast.endpoint, slow.endpoint],
-                    chunksize=1,
-                    scheduling=scheduling,
+                    [slow.endpoint, fast.endpoint], chunksize=chunksize
                 ) as executor:
                     result = executor.map(_square, range(12))
                     return result, executor.last_map_steals
 
-        static_result, static_steals = run("static")
-        steal_result, steal_steals = run("steal")
+        static_result, static_steals = run(6)
+        steal_result, steal_steals = run(1)
         assert static_result == steal_result == [x * x for x in range(12)]
         assert static_steals == 0
         assert steal_steals > 0  # the fast worker relieved the straggler
 
-    def test_scheduling_validation(self):
-        with pytest.raises(ValueError):
-            DistributedExecutor(["host:1"], scheduling="roulette")
-
     def test_static_mode_with_unreachable_worker_completes(self):
-        """Regression: chunks dealt to a never-connectable lane must be
-        retired to the live workers — static mode used to spin forever
+        """Regression: the chunk pinned to a never-connectable lane must
+        be retired to the live workers — static mode used to spin forever
         re-dispatching an empty round.  local_fallback=False proves the
-        orphaned chunks ran remotely."""
+        orphaned chunk ran remotely."""
         import socket as socket_mod
 
         with socket_mod.socket() as probe:
@@ -225,8 +222,7 @@ class TestDistributedStealing:
         with LoopbackWorker() as good:
             with DistributedExecutor(
                 [good.endpoint, dead_endpoint],
-                chunksize=1,
-                scheduling="static",
+                chunksize=5,
                 connect_timeout=0.5,
                 local_fallback=False,
             ) as executor:
@@ -244,8 +240,7 @@ class TestDistributedStealing:
         try:
             with DistributedExecutor(
                 [steady.endpoint, flaky_a.endpoint, flaky_b.endpoint],
-                chunksize=1,
-                scheduling="static",
+                chunksize=4,
                 local_fallback=False,
             ) as executor:
                 for _ in range(3):  # repeated maps re-roll the failure race
@@ -263,7 +258,7 @@ class TestDistributedStealing:
         steady = LoopbackWorker()
         try:
             with DistributedExecutor(
-                [flaky.endpoint, steady.endpoint], chunksize=2, scheduling="steal"
+                [flaky.endpoint, steady.endpoint], chunksize=2
             ) as executor:
                 assert executor.map(_square, range(16)) == [
                     x * x for x in range(16)

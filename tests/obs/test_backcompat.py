@@ -1,17 +1,17 @@
 """Back-compat: every pre-registry counter still reads at its old
 attribute path, but is served from the unified ``repro.obs`` registry.
 
-Also pins the richer shapes this PR added behind those attributes:
-``Engine.batch_fallbacks`` as a per-reason dict that still compares to
-the old bare int, ``HealthBoard.transition_history()``, and the
-``ErrorTelemetry`` → registry-JSON round trip.
+Also pins the richer shapes served behind those attributes:
+``Engine.batch_fallbacks`` as a per-reason dict,
+``HealthBoard.transition_history()``, and the ``ErrorTelemetry`` →
+registry-JSON round trip.
 """
 
 import threading
 
 import pytest
 
-from repro.core.engine import Engine, FALLBACKS_METRIC, FallbackCounts, RunSpec
+from repro.core.engine import Engine, FALLBACKS_METRIC, RunSpec
 from repro.core.errors import BatchFallbackWarning
 from repro.distributions.uniform import UniformRows
 from repro.exec.health import ERRORS_METRIC, ErrorTelemetry, HealthBoard
@@ -22,24 +22,6 @@ from repro.protocols.parity import GlobalParityProtocol
 class UnbatchedParityProtocol(GlobalParityProtocol):
     supports_batch = False
     supports_batch_keys = False
-
-
-class TestFallbackCounts:
-    def test_int_compatibility(self):
-        counts = FallbackCounts({"no_batch_support": 2, "full_fidelity": 1})
-        assert counts == 3
-        assert counts != 2
-        assert int(counts) == 3
-        assert counts.total == 3
-        assert counts["no_batch_support"] == 2
-        assert FallbackCounts() == 0
-
-    def test_dict_comparison_still_works(self):
-        assert FallbackCounts({"a": 1}) == {"a": 1}
-        assert FallbackCounts({"a": 1}) != {"a": 2}
-
-    def test_not_equal_to_bool(self):
-        assert FallbackCounts() != False  # noqa: E712 — the comparison is the test
 
 
 class TestEngineBatchFallbacks:
@@ -54,13 +36,11 @@ class TestEngineBatchFallbacks:
     def test_per_reason_counts_and_registry_series(self):
         registry = MetricsRegistry()
         engine = Engine(registry=registry)
-        assert engine.batch_fallbacks == 0
+        assert engine.batch_fallbacks == {}
         with pytest.warns(BatchFallbackWarning, match="no_batch_support"):
             engine.run_batch(self.fallback_spec(), 4)
         with pytest.warns(BatchFallbackWarning):
             engine.run_batch(self.fallback_spec(), 4)
-        # old int semantics and new per-reason shape, same attribute
-        assert engine.batch_fallbacks == 2
         assert engine.batch_fallbacks == {"no_batch_support": 2}
         # served from the shared registry, not a private int
         assert registry.total(FALLBACKS_METRIC, reason="no_batch_support") == 2

@@ -56,7 +56,7 @@ class TestCompiled:
         sharing one instance across serial trials made them reuse trial
         1's probes while pool workers redrew them, breaking the
         serial/parallel bit-identity guarantee."""
-        from repro.core import ParallelExecutor
+        from repro.exec import WorkerPool
         from repro.protocols import FingerprintEqualityProtocol
 
         compiled = NewmanCompiled(
@@ -65,7 +65,7 @@ class TestCompiled:
         inputs = np.ones((4, 16), dtype=np.uint8)
         serial = compiled.run_batch(inputs, 8, seed=3, executor="serial")
         parallel = compiled.run_batch(
-            inputs, 8, seed=3, executor=ParallelExecutor(max_workers=2)
+            inputs, 8, seed=3, executor=WorkerPool(max_workers=2, idle_timeout=0)
         )
         assert [r.transcript.key() for r in serial] == [
             r.transcript.key() for r in parallel
