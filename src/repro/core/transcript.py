@@ -15,7 +15,7 @@ message payloads in order, which is what :meth:`key` encodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 __all__ = ["BroadcastEvent", "Transcript"]
 
@@ -37,24 +37,100 @@ class BroadcastEvent:
 
 
 class Transcript:
-    """Append-only broadcast history."""
+    """Append-only broadcast history.
 
-    __slots__ = ("_events",)
+    Events are kept in turn order with non-decreasing rounds, and the
+    start offset of every round is indexed as events arrive, so reading
+    one round is a slice rather than a scan.
+    """
 
-    def __init__(self, events: list[BroadcastEvent] | None = None):
-        self._events: list[BroadcastEvent] = list(events) if events else []
+    __slots__ = ("_events", "_round_starts", "_rebased")
+
+    def __init__(self, events: Iterable[BroadcastEvent] | None = None):
+        self._events: list[BroadcastEvent] = []
+        #: ``_round_starts[r]`` is the offset of the first event whose
+        #: round is ``>= r``, for every ``r`` up to the last event's round.
+        self._round_starts: list[int] = []
+        #: Cached :meth:`rebased` view: ``(skip_rounds, n, view, source
+        #: events consumed, view length)``.  Derived state, never encoded.
+        self._rebased: tuple[int, int, Transcript, int, int] | None = None
+        for event in events or ():
+            if event.round_index != len(self._round_starts) - 1 or not self._events:
+                self._open_round(event.round_index)
+            self._events.append(event)
 
     # ------------------------------------------------------------------
     # Mutation (simulator-only)
     # ------------------------------------------------------------------
     def append(self, event: BroadcastEvent) -> None:
-        if self._events and event.turn != self._events[-1].turn + 1:
-            raise ValueError(
-                f"non-consecutive turn {event.turn} after {self._events[-1].turn}"
-            )
-        if not self._events and event.turn != 0:
-            raise ValueError(f"first event must have turn 0, got {event.turn}")
-        self._events.append(event)
+        events = self._events
+        if events:
+            if event.turn != events[-1].turn + 1:
+                raise ValueError(
+                    f"non-consecutive turn {event.turn} after {events[-1].turn}"
+                )
+            # An event in the previous event's round indexes nothing.
+            if event.round_index != len(self._round_starts) - 1:
+                self._open_round(event.round_index)
+        else:
+            if event.turn != 0:
+                raise ValueError(f"first event must have turn 0, got {event.turn}")
+            self._open_round(event.round_index)
+        events.append(event)
+
+    def _open_round(self, round_index: int) -> None:
+        """Index the rounds up to ``round_index``, which the next event to
+        be stored opens; rounds never decrease."""
+        starts = self._round_starts
+        if round_index < 0:
+            raise ValueError(f"negative round {round_index}")
+        if round_index < len(starts) - 1:
+            raise ValueError(f"round {round_index} after round {len(starts) - 1}")
+        offset = len(self._events)
+        while len(starts) <= round_index:
+            starts.append(offset)
+
+    def rebased(self, skip_rounds: int, n: int) -> "Transcript":
+        """This transcript with its first ``skip_rounds`` rounds removed and
+        turn/round indices renumbered from zero (``n`` turns per round).
+
+        Wrappers that run a payload after rounds of their own present this
+        view, so the payload sees the local history it would see running
+        stand-alone.  The view is cached here and extended with only the
+        events appended since the previous call; it is rebuilt when
+        ``(skip_rounds, n)`` changes or when its length no longer matches
+        what was fed to it.  The cache is not part of the transcript's
+        value: equality, hashing, copies and encodings ignore it.
+        """
+        if skip_rounds < 0:
+            raise ValueError(f"skip_rounds must be non-negative, got {skip_rounds}")
+        events = self._events
+        cache = self._rebased
+        if (
+            cache is not None
+            and cache[0] == skip_rounds
+            and cache[1] == n
+            and len(cache[2]) == cache[4]
+        ):
+            view, consumed = cache[2], cache[3]
+        else:
+            view, consumed = Transcript(), 0
+        if consumed < len(events):
+            starts = self._round_starts
+            first = starts[skip_rounds] if skip_rounds < len(starts) else len(events)
+            skip_turns = skip_rounds * n
+            for event in events[max(consumed, first):]:
+                view.append(
+                    BroadcastEvent(
+                        event.turn - skip_turns,
+                        event.round_index - skip_rounds,
+                        event.sender,
+                        event.message,
+                        event.width,
+                    )
+                )
+        self._rebased = (skip_rounds, n, view, len(events), len(view))
+        return view
 
     # ------------------------------------------------------------------
     # Read access
@@ -84,13 +160,17 @@ class Transcript:
 
     def messages_in_round(self, round_index: int) -> list[BroadcastEvent]:
         """All broadcasts of a given round, in turn order."""
-        return [e for e in self._events if e.round_index == round_index]
+        starts = self._round_starts
+        if not 0 <= round_index < len(starts):
+            return []
+        end = starts[round_index + 1] if round_index + 1 < len(starts) else None
+        return self._events[starts[round_index]:end]
 
     def last_round_messages(self) -> list[BroadcastEvent]:
         """Broadcasts of the most recent (possibly partial) round."""
         if not self._events:
             return []
-        return self.messages_in_round(self._events[-1].round_index)
+        return self._events[self._round_starts[-1]:]
 
     # ------------------------------------------------------------------
     # Encodings
@@ -116,10 +196,19 @@ class Transcript:
             raise ValueError(
                 f"prefix of {n_turns} turns requested, only {len(self._events)} exist"
             )
-        return Transcript(self._events[:n_turns])
+        return self._head(self._events[:n_turns])
 
     def copy(self) -> "Transcript":
-        return Transcript(self._events)
+        return self._head(self._events[:])
+
+    def _head(self, events: list[BroadcastEvent]) -> "Transcript":
+        """A transcript of ``events``, a leading slice of this one, reusing
+        this transcript's round index instead of re-validating each event."""
+        head = Transcript()
+        head._events = events
+        if events:
+            head._round_starts = self._round_starts[: events[-1].round_index + 1]
+        return head
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Transcript):
@@ -128,6 +217,14 @@ class Transcript:
 
     def __hash__(self) -> int:
         return hash(tuple(self._events))
+
+    def __getstate__(self) -> tuple[None, dict[str, list[BroadcastEvent]]]:
+        # The events alone, in the default slotted-object shape: the round
+        # index is rebuilt on load and the rebased view is a per-run cache.
+        return (None, {"_events": self._events})
+
+    def __setstate__(self, state: tuple[None, dict[str, list[BroadcastEvent]]]) -> None:
+        Transcript.__init__(self, state[1]["_events"])
 
     def __repr__(self) -> str:
         return f"Transcript(turns={self.n_turns}, bits={self.total_bits})"

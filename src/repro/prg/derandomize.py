@@ -15,42 +15,16 @@ distribution moves by at most ``O(j·n/2^{k/9})`` in statistical distance.
 
 from __future__ import annotations
 
-import contextlib
-from dataclasses import replace
-from typing import Any
+from typing import Any, Callable
 
 from ..core.errors import ProtocolViolation
 from ..core.processor import ProcessorContext
 from ..core.protocol import Protocol
 from ..core.randomness import ReplayCoins
-from ..core.transcript import Transcript
 from ..linalg.bitvec import BitVector
 from .generator import MatrixPRGProtocol
 
 __all__ = ["DerandomizedProtocol"]
-
-
-def _rebased_transcript(transcript: Transcript, skip_rounds: int, n: int) -> Transcript:
-    """A copy of ``transcript`` with the first ``skip_rounds`` rounds removed
-    and round/turn indices renumbered from zero.
-
-    The payload protocol must see the same local view it would have seen
-    running stand-alone — protocols such as Appendix B's read specific
-    round indices out of the transcript.
-    """
-    rebased = Transcript()
-    skip_turns = skip_rounds * n
-    for event in transcript:
-        if event.round_index < skip_rounds:
-            continue
-        rebased.append(
-            replace(
-                event,
-                turn=event.turn - skip_turns,
-                round_index=event.round_index - skip_rounds,
-            )
-        )
-    return rebased
 
 
 class DerandomizedProtocol(Protocol):
@@ -89,33 +63,48 @@ class DerandomizedProtocol(Protocol):
         if completed_rounds < prg_rounds:
             return False
         return self.payload.finished(
-            n,
-            _rebased_transcript(transcript, prg_rounds, n),
-            completed_rounds - prg_rounds,
+            n, transcript.rebased(prg_rounds, n), completed_rounds - prg_rounds
         )
 
     def setup(self, proc: ProcessorContext) -> None:
         self.prg.setup(proc)
 
     def _enter_payload(self, proc: ProcessorContext) -> None:
-        """Swap coins for the pseudo-random stream and set up the payload."""
-        if proc.memory.get("derand_entered"):
+        """Swap coins for the pseudo-random stream and set up the payload.
+
+        Runs once per wrapper: nested wrappers share ``proc.memory``, so
+        the entered flag is kept per instance, and the true coins are the
+        ones the outermost wrapper (the first to enter) replaced.
+        """
+        entered = proc.memory.setdefault("derand_entered", set())
+        if id(self) in entered:
             return
-        proc.memory["derand_entered"] = True
+        entered.add(id(self))
         pseudo_bits = self.prg.output(proc)
-        proc.memory["derand_true_coins"] = proc.coins
+        proc.memory.setdefault("derand_true_coins", proc.coins)
         proc.coins = ReplayCoins(BitVector.from_array(pseudo_bits))
         self.payload.setup(proc)
 
-    @contextlib.contextmanager
-    def _payload_view(self, proc: ProcessorContext):
-        """Temporarily present the payload's re-based transcript view."""
+    def _in_view(
+        self,
+        proc: ProcessorContext,
+        prg_rounds: int,
+        callback: Callable[..., Any],
+        *args: Any,
+    ) -> Any:
+        """Run a payload callback on the payload's transcript view.
+
+        The payload must see the local view it would have seen running
+        stand-alone — protocols such as Appendix B's read specific round
+        indices out of the transcript — so the PRG rounds are removed and
+        rounds/turns renumbered from zero.  The view is shared by every
+        processor and by :meth:`finished`, and only extended between
+        callbacks (:meth:`~repro.core.transcript.Transcript.rebased`).
+        """
         original = proc.transcript
-        proc.transcript = _rebased_transcript(
-            original, self.prg.num_rounds(proc.n), proc.n
-        )
+        proc.transcript = original.rebased(prg_rounds, proc.n)
         try:
-            yield
+            return callback(proc, *args)
         finally:
             proc.transcript = original
 
@@ -124,21 +113,25 @@ class DerandomizedProtocol(Protocol):
         if round_index < prg_rounds:
             return self.prg.broadcast(proc, round_index)
         self._enter_payload(proc)
-        with self._payload_view(proc):
-            return self.payload.broadcast(proc, round_index - prg_rounds)
+        return self._in_view(
+            proc, prg_rounds, self.payload.broadcast, round_index - prg_rounds
+        )
 
     def receive(
         self, proc: ProcessorContext, round_index: int, messages: dict[int, int]
     ) -> None:
         prg_rounds = self.prg.num_rounds(proc.n)
         if round_index >= prg_rounds:
-            with self._payload_view(proc):
-                self.payload.receive(proc, round_index - prg_rounds, messages)
+            self._in_view(
+                proc, prg_rounds, self.payload.receive,
+                round_index - prg_rounds, messages,
+            )
 
     def output(self, proc: ProcessorContext) -> Any:
         self._enter_payload(proc)
-        with self._payload_view(proc):
-            return self.payload.output(proc)
+        return self._in_view(
+            proc, self.prg.num_rounds(proc.n), self.payload.output
+        )
 
     def true_coins_used(self, proc: ProcessorContext) -> int:
         """Private coin flips actually consumed (seed + matrix share)."""

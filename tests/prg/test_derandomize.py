@@ -1,9 +1,22 @@
 """Tests for the Corollary 7.1 derandomization transform."""
 
+import hashlib
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from repro.core import Protocol, ProtocolViolation, run_protocol
+from repro.cliques.subsample import PlantedCliqueSubsampleProtocol
+from repro.core import (
+    BroadcastEvent,
+    Engine,
+    Protocol,
+    ProtocolViolation,
+    RunSpec,
+    Transcript,
+    run_protocol,
+)
+from repro.distributions.planted_clique import PlantedClique
 from repro.prg import DerandomizedProtocol, matrix_prg_rounds
 
 
@@ -111,3 +124,148 @@ class TestExecution:
 
         assert run(11) == run(11)
         assert run(11) != run(12) or run(13) != run(11)
+
+
+def rebuilt_view(transcript, skip_rounds, n):
+    """Reference payload view: rebuilt from scratch, one event at a time,
+    as the transform did before the view was cached and extended."""
+    view = Transcript()
+    for event in transcript:
+        if event.round_index >= skip_rounds:
+            view.append(
+                BroadcastEvent(
+                    event.turn - skip_rounds * n,
+                    event.round_index - skip_rounds,
+                    event.sender,
+                    event.message,
+                    event.width,
+                )
+            )
+    return view
+
+
+class ViewCheckingPayload(Protocol):
+    """Reads its transcript in every callback and checks it against the
+    reference view of the live source transcript."""
+
+    def __init__(self, rounds, skip_rounds):
+        self.rounds = rounds
+        self.skip_rounds = skip_rounds
+        self.source = None
+        self.checks = Counter()
+
+    def _check(self, callback, n, seen):
+        assert seen == rebuilt_view(self.source, self.skip_rounds, n), callback
+        self.checks[callback] += 1
+
+    def num_rounds(self, n):
+        return self.rounds
+
+    def finished(self, n, transcript, completed_rounds):
+        self._check("finished", n, transcript)
+        return completed_rounds >= self.rounds
+
+    def broadcast(self, proc, round_index):
+        self._check("broadcast", proc.n, proc.transcript)
+        last = proc.transcript.last_round_messages()
+        return (sum(e.message for e in last) + proc.coins.draw_bit()) % 2
+
+    def receive(self, proc, round_index, messages):
+        self._check("receive", proc.n, proc.transcript)
+        assert messages == proc.round_messages(round_index)
+
+    def output(self, proc):
+        self._check("output", proc.n, proc.transcript)
+        return proc.transcript.key()
+
+
+class SourceRecording(DerandomizedProtocol):
+    """Hands the payload the shared source transcript at setup."""
+
+    def setup(self, proc):
+        self.payload.source = proc.transcript
+        super().setup(proc)
+
+
+def clique_run(protocol, seed, n=12, k=6):
+    rng = np.random.default_rng(seed)
+    adjacency = PlantedClique(n, k).sample(rng)
+    return run_protocol(protocol, adjacency, rng=rng)
+
+
+def summary(result):
+    return result.outputs, result.transcript.key(), result.cost
+
+
+class TestPayloadView:
+    @pytest.mark.parametrize("scheduler", ["round", "turn"])
+    def test_every_callback_sees_the_reference_view(self, scheduler, rng):
+        n, k, bits, rounds = 6, 3, 3, 4
+        skip = matrix_prg_rounds(n, k, k + bits)
+        payload = ViewCheckingPayload(rounds, skip)
+        wrapped = SourceRecording(payload, k=k, random_bits=bits)
+        result = run_protocol(
+            wrapped, np.zeros((n, 1), dtype=np.uint8), scheduler=scheduler, rng=rng
+        )
+        assert payload.checks == {
+            "finished": rounds,
+            "broadcast": rounds * n,
+            "receive": rounds * n,
+            "output": n,
+        }
+        view = rebuilt_view(result.transcript, skip, n)
+        assert result.outputs == [view.key()] * n
+
+    def test_nested_matches_rebuild_per_callback(self, monkeypatch):
+        def nested():
+            inner = DerandomizedProtocol(
+                PlantedCliqueSubsampleProtocol(6), k=8, random_bits=24
+            )
+            return DerandomizedProtocol(inner, k=4, random_bits=32)
+
+        runs = [(nested(), seed) for seed in (3, 4)]
+        results = [clique_run(wrapped, seed) for wrapped, seed in runs]
+        for (wrapped, _), result in zip(runs, results):
+            assert all(output for output in result.outputs)
+            cap = wrapped.k + wrapped.prg.num_rounds(12)
+            assert all(wrapped.true_coins_used(p) <= cap for p in result.contexts)
+        monkeypatch.setattr(Transcript, "rebased", rebuilt_view)
+        reference = [summary(clique_run(nested(), seed)) for seed in (3, 4)]
+        assert [summary(result) for result in results] == reference
+
+    def test_reused_instance_matches_fresh_instances(self):
+        def wrapped():
+            return DerandomizedProtocol(
+                PlantedCliqueSubsampleProtocol(6), k=8, random_bits=24
+            )
+
+        reused = wrapped()
+        twice = [summary(clique_run(reused, seed)) for seed in (7, 8)]
+        fresh = [summary(clique_run(wrapped(), seed)) for seed in (7, 8)]
+        assert twice == fresh
+
+
+#: sha256 over each trial's outputs, transcript key and cost report,
+#: recorded before the payload view was cached and extended incrementally.
+GOLDEN_CLIQUE_DIGEST = (
+    "2c591e30039566ce9ade05702d8498f2e316b1edf3eb1b66cf02bd9d41a9443f"
+)
+
+
+def test_derandomized_clique_batch_is_bit_identical_to_golden():
+    spec = RunSpec(
+        DerandomizedProtocol(PlantedCliqueSubsampleProtocol(6), k=8, random_bits=24),
+        distribution=PlantedClique(12, 6),
+        seed=20190729,
+    )
+    batch = Engine().run_batch(spec, 8)
+    digests = []
+    for trial in batch:
+        outputs = [
+            sorted(o) if isinstance(o, frozenset) else o for o in trial.outputs
+        ]
+        record = (trial.trial_index, outputs, trial.transcript_key, trial.cost)
+        digests.append(hashlib.sha256(repr(record).encode()).hexdigest())
+    assert len(digests) == 8
+    combined = hashlib.sha256("".join(digests).encode()).hexdigest()
+    assert combined == GOLDEN_CLIQUE_DIGEST
